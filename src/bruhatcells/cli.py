@@ -13,6 +13,7 @@ import sys
 
 from .conjugacy import (
     STRONG_CONJ_LIMIT,
+    _fmt,
     catalog_subsets,
     subset_involution,
     verify_ascent_classes,
@@ -26,11 +27,10 @@ from .coxeter import (
     ENUMERATION_LIMIT,
     build_root_system,
     bruhat_leq,
-    element_to_word_str,
 )
 from .errors import GuardError
 from .partitions import cycle_type
-from .permutations import Permutation, permutation_to_weyl, weyl_to_permutation
+from .permutations import Permutation, permutation_to_weyl
 from .sl_criteria import (
     JordanClass,
     bruhat_lower_set,
@@ -68,12 +68,6 @@ def _parse_type(s: str) -> CartanType:
     return CartanType.from_string(s)
 
 
-def _element_string(w) -> str:
-    if w.rs.cartan_type.family == "A":
-        return weyl_to_permutation(w).cycle_string()
-    return element_to_word_str(w)
-
-
 def _load_jordan(path: str) -> JordanClass:
     with open(path, "r", encoding="utf-8") as fh:
         return JordanClass.from_json_dict(json.load(fh))
@@ -92,7 +86,7 @@ def cmd_catalog(args) -> int:
         members.append(
             {
                 "subset": sorted(J),
-                "element": _element_string(m),
+                "element": _fmt(m),
                 "length": m.length,
             }
         )

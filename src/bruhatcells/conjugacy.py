@@ -27,6 +27,7 @@ from .coxeter import (
     element_to_word_str,
 )
 from .errors import GuardError
+from .permutations import weyl_to_permutation
 from .report import Report
 
 __all__ = [
@@ -243,11 +244,33 @@ def conjugacy_classes(rs: RootSystem, allow_large: bool = False):
 
 
 def involution_classes(rs: RootSystem, allow_large: bool = False):
-    """Conjugacy classes consisting of involutions (identity class included)."""
+    """Conjugacy classes consisting of involutions (identity class included).
+
+    Every involution is conjugate to the longest element w0J of some
+    parabolic subgroup W_J (Richardson, Bull. Austral. Math. Soc. 26, 1982),
+    so the classes are the orbits of the 2^rank seeds w0J, J a subset of the
+    simple roots; a seed already inside a found class is skipped, and the
+    group itself is never enumerated.  Each class is represented by its
+    element with the smallest matrix ``rows``, and the classes are sorted by
+    that representative.
+    """
     cached = rs._memo.get("inv_classes")
     if cached is None:
-        invs = [w for w in enumerate_weyl_group(rs, allow_large) if w.is_involution()]
-        cached = rs._memo["inv_classes"] = _partition_into_classes(rs, invs)
+        _guard(rs, allow_large)
+        seen = set()
+        classes = []
+        for mask in range(1 << rs.rank):
+            J = [i + 1 for i in range(rs.rank) if mask >> i & 1]
+            seed = ParabolicSubset(rs, J).longest
+            if seed.rows in seen:
+                continue
+            found = _orbit(rs, seed, lambda i: i)
+            seen.update(found)
+            maxs, mins = _extrema(found.values())
+            rep = found[min(found)]
+            classes.append(ConjugacyClass(rep, frozenset(found.values()), maxs, mins))
+        classes.sort(key=lambda c: c.representative.rows)
+        cached = rs._memo["inv_classes"] = tuple(classes)
     return cached
 
 
@@ -545,9 +568,8 @@ def catalog_subsets(t) -> frozenset[frozenset[int]]:
 
 
 def _fmt(w: WeylElement) -> str:
+    """Cycle notation in type A, a space-separated reduced word otherwise."""
     if w.rs.cartan_type.family == "A":
-        from .permutations import weyl_to_permutation
-
         return weyl_to_permutation(w).cycle_string()
     return element_to_word_str(w)
 

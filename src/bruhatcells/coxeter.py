@@ -422,29 +422,31 @@ def bruhat_leq(u: WeylElement, w: WeylElement) -> bool:
     """Bruhat order by the lifting-property recursion, memoized per root system.
 
     With s a right descent of w: u <= w iff (us <= ws if us < u else u <= ws).
+    The recursion runs as a loop down w's descent chain, to the length base
+    case or a cache hit; the answer is then stored under every key missed on
+    the way, so the depth is not bounded by Python's recursion limit.
     """
     rs = u.rs
     if rs is not w.rs:
         raise ValueError("elements belong to different root systems")
     cache = rs._memo.setdefault("bruhat", {})
-    return _bruhat_rec(rs, u, w, cache)
-
-
-def _bruhat_rec(rs, u, w, cache):
-    lu, lw = u.length, w.length
-    if lu >= lw:
-        return u.rows == w.rows
-    key = (u.rows, w.rows)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    j = _descent(w.rows, rs.rank)
-    ws = rs._mul_gen_right(w, j, lw - 1)
-    if rs._has_right_descent(u, j):
-        res = _bruhat_rec(rs, rs._mul_gen_right(u, j, lu - 1), ws, cache)
-    else:
-        res = _bruhat_rec(rs, u, ws, cache)
-    cache[key] = res
+    missed = []
+    while True:
+        lu, lw = u.length, w.length
+        if lu >= lw:
+            res = u.rows == w.rows
+            break
+        key = (u.rows, w.rows)
+        res = cache.get(key)
+        if res is not None:
+            break
+        missed.append(key)
+        j = _descent(w.rows, rs.rank)
+        if rs._has_right_descent(u, j):
+            u = rs._mul_gen_right(u, j, lu - 1)
+        w = rs._mul_gen_right(w, j, lw - 1)
+    for key in missed:
+        cache[key] = res
     return res
 
 

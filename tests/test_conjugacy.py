@@ -1,6 +1,7 @@
 import pytest
 
 from bruhatcells.conjugacy import (
+    _partition_into_classes,
     ascent_reachable,
     ascent_step,
     catalog_subsets,
@@ -9,6 +10,7 @@ from bruhatcells.conjugacy import (
     conjugacy_classes,
     enumerate_weyl_group,
     fixed_simple_roots,
+    involution_classes,
     is_diagram_automorphism,
     max_length_involutions,
     property_one,
@@ -26,6 +28,8 @@ from bruhatcells.conjugacy import (
     verify_unique_max_classification,
 )
 from bruhatcells.coxeter import (
+    CartanType,
+    RootSystem,
     bruhat_leq,
     build_root_system,
     delta0_permutation,
@@ -222,6 +226,30 @@ class TestStrongConjugation:
         rs = build_root_system("E6")
         with pytest.raises(GuardError):
             strongly_conjugate(rs.identity, rs.identity)
+
+
+class TestInvolutionClasses:
+    @pytest.mark.parametrize(
+        "name",
+        ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "C2", "C3", "C4",
+         "D4", "D5", "F4", "G2", "E6"],
+    )
+    def test_seeded_orbits_match_whole_group_partition(self, name):
+        # fresh root systems, so the cached ones keep no enumerated group
+        rs = RootSystem(CartanType.from_string(name))
+        invs = [w for w in enumerate_weyl_group(rs) if w.is_involution()]
+        reference = _partition_into_classes(rs, invs)
+        assert involution_classes(RootSystem(CartanType.from_string(name))) == reference
+
+    def test_group_is_not_enumerated(self):
+        rs = RootSystem(CartanType("E", 6))
+        classes = involution_classes(rs)
+        assert sum(len(c) for c in classes) == 892
+        assert "all_elements" not in rs._memo
+
+    def test_guard_on_e8(self):
+        with pytest.raises(GuardError):
+            involution_classes(build_root_system("E8"))
 
 
 class TestMaximalSets:

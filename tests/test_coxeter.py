@@ -5,6 +5,7 @@ import pytest
 from bruhatcells.coxeter import (
     CartanType,
     ParabolicSubset,
+    RootSystem,
     bruhat_leq,
     build_root_system,
     coxeter_elements,
@@ -268,6 +269,13 @@ class TestBruhatOrder:
                 assert bruhat_leq(w, rs.w0)
                 if w != rs.w0:
                     assert not bruhat_leq(rs.w0, w)
+
+    def test_long_descent_chain_in_a46(self):
+        # the lifting recursion is 1081 steps deep here; a fresh root system
+        # keeps its large Bruhat memo out of the shared cache
+        rs = RootSystem(CartanType("A", 46))
+        assert bruhat_leq(rs.identity, rs.w0)
+        assert not bruhat_leq(rs.w0, rs.identity)
 
     def test_mismatched_systems_rejected(self):
         with pytest.raises(ValueError):
