@@ -67,6 +67,7 @@ from .partitions import (
 from .permutations import (
     Permutation,
     all_permutations,
+    bruhat_leq_perm,
     exceedances,
     involutions,
     permutation_to_weyl,

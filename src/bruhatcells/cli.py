@@ -22,15 +22,10 @@ from .conjugacy import (
     verify_twisted_minimum,
     verify_unique_max_classification,
 )
-from .coxeter import (
-    CartanType,
-    ENUMERATION_LIMIT,
-    build_root_system,
-    bruhat_leq,
-)
+from .coxeter import CartanType, ENUMERATION_LIMIT, build_root_system
 from .errors import GuardError
 from .partitions import cycle_type
-from .permutations import Permutation, permutation_to_weyl
+from .permutations import Permutation, bruhat_leq_perm
 from .sl_criteria import (
     JordanClass,
     bruhat_lower_set,
@@ -223,8 +218,6 @@ def cmd_hasse(args) -> int:
     lower = sorted(
         bruhat_lower_set(c), key=lambda w: (w.inversions(), w.images)
     )
-    rs = build_root_system(f"A{c.n_plus_1 - 1}")
-    weyl = {w: permutation_to_weyl(rs, w) for w in lower}
     lines = [
         "digraph bruhat_lower_set {",
         "  rankdir=BT;",
@@ -233,9 +226,10 @@ def cmd_hasse(args) -> int:
     ]
     for w in lower:
         lines.append(f'  "{w.cycle_string()}";')
+    length = {w: w.inversions() for w in lower}
     for u in lower:
         for v in lower:
-            if v.inversions() == u.inversions() + 1 and bruhat_leq(weyl[u], weyl[v]):
+            if length[v] == length[u] + 1 and bruhat_leq_perm(u, v):
                 lines.append(f'  "{u.cycle_string()}" -> "{v.cycle_string()}";')
     lines.append("}")
     text = "\n".join(lines)

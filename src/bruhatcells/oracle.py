@@ -15,15 +15,14 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .coxeter import bruhat_leq, build_root_system
 from .errors import GuardError
 from .partitions import cycle_type, partitions_of
 from .permutations import (
     Permutation,
     all_permutations,
+    bruhat_leq_perm,
     exceedances,
     involutions,
-    permutation_to_weyl,
 )
 from .report import Report
 from .sl_criteria import (
@@ -213,13 +212,14 @@ class MatrixFq:
         )
 
 
-def _cell_pattern(entries, n, field):
-    """Pivot pattern of an invertible matrix: sigma with sigma[j] = pivot row
-    of column j (1-based), after clearing above pivots by row operations and
-    right of pivots by column operations, both triangular."""
+def _eliminate(m, n, field, b1=None, b2=None):
+    """Reduce the invertible matrix m (a flat row-major list, in place) to a
+    monomial matrix by clearing above pivots with row operations and right
+    of pivots with column operations, both triangular.  Returns sigma with
+    sigma[j] = pivot row of column j (1-based).  Given flat identity lists
+    b1 and b2, also updates them so that the input equals b1 * m * b2."""
     p = field.p
     inv = field.inverse
-    m = list(entries)
     claimed = [False] * n
     sigma = [0] * n
     for j in range(n):
@@ -239,8 +239,12 @@ def _cell_pattern(entries, n, field):
             if a:
                 f = a * pinv % p
                 ibase = i * n
+                # the pivot row is zero left of column j
                 for k in range(j, n):
                     m[ibase + k] = (m[ibase + k] - f * m[pbase + k]) % p
+                if b1 is not None:  # b1 := b1 * (I + f e_{i,piv})
+                    for r in range(0, n * n, n):
+                        b1[r + piv] = (b1[r + piv] + f * b1[r + i]) % p
         for k in range(j + 1, n):
             a = m[pbase + k]
             if a:
@@ -248,7 +252,22 @@ def _cell_pattern(entries, n, field):
                 for i2 in range(n):
                     b = i2 * n
                     m[b + k] = (m[b + k] - f * m[b + j]) % p
+                if b2 is not None:  # b2 := (I + f e_{j,k}) * b2
+                    for c in range(n):
+                        b2[j * n + c] = (b2[j * n + c] + f * b2[k * n + c]) % p
     return tuple(sigma)
+
+
+def _cell_pattern(entries, n, field):
+    """Pivot pattern of an invertible matrix, see ``_eliminate``."""
+    return _eliminate(list(entries), n, field)
+
+
+def _opposite_pattern(entries, n, field):
+    """Pivot pattern of g*w0dot: w0dot reverses the columns of g up to a
+    diagonal factor in B, which leaves the cell unchanged."""
+    rows = (entries[i : i + n] for i in range(0, n * n, n))
+    return _eliminate([v for row in rows for v in reversed(row)], n, field)
 
 
 def bruhat_cell(g: MatrixFq) -> Permutation:
@@ -259,46 +278,11 @@ def bruhat_cell(g: MatrixFq) -> Permutation:
 def bruhat_factor(g: MatrixFq):
     """Factor g = b1 * m * b2 with b1, b2 upper triangular and m monomial;
     returns (b1, m, b2, w)."""
-    n, p = g.n, g.field.p
-    inv = g.field.inverse
+    n = g.n
     m = list(g.entries)
     b1 = [1 if i == j else 0 for i in range(n) for j in range(n)]
     b2 = list(b1)
-    claimed = [False] * n
-    sigma = [0] * n
-    for j in range(n):
-        piv = -1
-        for i in range(n - 1, -1, -1):
-            if not claimed[i] and m[i * n + j]:
-                piv = i
-                break
-        if piv < 0:
-            raise ValueError("singular matrix")
-        claimed[piv] = True
-        sigma[j] = piv + 1
-        pbase = piv * n
-        pinv = inv[m[pbase + j]]
-        for i in range(piv):
-            a = m[i * n + j]
-            if a:
-                f = a * pinv % p
-                ibase = i * n
-                for k in range(n):
-                    m[ibase + k] = (m[ibase + k] - f * m[pbase + k]) % p
-                # b1 := b1 * (I + f e_{i,piv})
-                for r in range(n):
-                    b = r * n
-                    b1[b + piv] = (b1[b + piv] + f * b1[b + i]) % p
-        for k in range(j + 1, n):
-            a = m[pbase + k]
-            if a:
-                f = a * pinv % p
-                for i2 in range(n):
-                    b = i2 * n
-                    m[b + k] = (m[b + k] - f * m[b + j]) % p
-                # b2 := (I + f e_{j,k}) * b2
-                for c in range(n):
-                    b2[j * n + c] = (b2[j * n + c] + f * b2[k * n + c]) % p
+    sigma = _eliminate(m, n, g.field, b1, b2)
     return (
         MatrixFq(g.field, n, b1),
         MatrixFq(g.field, n, m),
@@ -331,7 +315,7 @@ def permutation_monomial(w: Permutation, field: PrimeField) -> MatrixFq:
 
 def opposite_bruhat_cell(g: MatrixFq) -> Permutation:
     """The unique w with g in BwB^-, via g*w0dot in B(w*w0)B."""
-    u = bruhat_cell(g * longest_monomial(g.n, g.field))
+    u = Permutation(_opposite_pattern(g.entries, g.n, g.field))
     return u * Permutation.longest(g.n)
 
 
@@ -479,18 +463,12 @@ class IntersectionTable:
         return sorted(self.opposite_cells, key=lambda w: (w.inversions(), w.images))
 
 
-def _bruhat_leq_perm(u: Permutation, w: Permutation) -> bool:
-    rs = build_root_system(f"A{u.degree - 1}")
-    return bruhat_leq(permutation_to_weyl(rs, u), permutation_to_weyl(rs, w))
-
-
 def intersection_table(
     c: JordanClass, p: int, allow_large: bool = False
 ) -> IntersectionTable:
     """Decompose every orbit element in both cell systems and tabulate."""
     start = jordan_matrix(c, p)
     n, field = start.n, start.field
-    w0dot = longest_monomial(n, field)
     w0 = Permutation.longest(n)
     cells = set()
     opposite = set()
@@ -498,14 +476,13 @@ def intersection_table(
     for ent in _iter_orbit(start, allow_large):
         size += 1
         cells.add(_cell_pattern(ent, n, field))
-        g = MatrixFq(field, n, ent)
-        opposite.add(_cell_pattern((g * w0dot).entries, n, field))
+        opposite.add(_opposite_pattern(ent, n, field))
     cell_perms = frozenset(Permutation(s) for s in cells)
     opp_perms = frozenset(Permutation(s) * w0 for s in opposite)
     maxima = [
         w
         for w in cell_perms
-        if not any(v != w and _bruhat_leq_perm(w, v) for v in cell_perms)
+        if not any(v != w and bruhat_leq_perm(w, v) for v in cell_perms)
     ]
     return IntersectionTable(
         c,
@@ -604,7 +581,7 @@ def coset_product_report(
     lowers = list(_borel_elements(n, field, lower=True))
     wdot = permutation_monomial(w, field)
     upper_set = {
-        v for v in all_permutations(n) if _bruhat_leq_perm(w, v)
+        v for v in all_permutations(n) if bruhat_leq_perm(w, v)
     }
     total = len(uppers) * len(lowers) * len(uppers)
     budget = sample_budget if sample_budget is not None else 200_000
@@ -711,11 +688,11 @@ def validate_class(
     )
     bad = [w for w in cells if exceedances(w) > corank]
     rep.add(subject, "members-obey-corank-bound", "SOUND", not bad, _first_cycle(bad))
-    bad = [w for w in cells if not _bruhat_leq_perm(w, m_c)]
+    bad = [w for w in cells if not bruhat_leq_perm(w, m_c)]
     rep.add(
         subject, "members-below-dense-element", "SOUND", not bad, _first_cycle(bad)
     )
-    bad = [w for w in opposite if not _bruhat_leq_perm(w, m_c)]
+    bad = [w for w in opposite if not bruhat_leq_perm(w, m_c)]
     rep.add(
         subject,
         "opposite-members-below-dense-element",
@@ -750,7 +727,7 @@ def validate_class(
         got_inv == predicted_inv,
         _first_cycle(got_inv ^ predicted_inv),
     )
-    lower = {w for w in all_permutations(n) if _bruhat_leq_perm(w, m_c)}
+    lower = {w for w in all_permutations(n) if bruhat_leq_perm(w, m_c)}
     rep.add(
         subject,
         "opposite-cells-equal-lower-set",
@@ -783,7 +760,7 @@ def validate_class(
     bad = [
         w
         for w in opposite
-        if not any(_bruhat_leq_perm(w, v) for v in cells)
+        if not any(bruhat_leq_perm(w, v) for v in cells)
     ]
     rep.add(
         subject,

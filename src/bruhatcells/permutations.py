@@ -13,6 +13,7 @@ True
 from __future__ import annotations
 
 import re
+from bisect import insort
 from itertools import permutations as _permutations
 
 from .coxeter import RootSystem, WeylElement, reduced_word
@@ -22,6 +23,7 @@ __all__ = [
     "exceedances",
     "all_permutations",
     "involutions",
+    "bruhat_leq_perm",
     "permutation_to_weyl",
     "weyl_to_permutation",
 ]
@@ -188,10 +190,37 @@ def all_permutations(n: int):
 
 
 def involutions(n: int):
-    """All w in S_n with w * w = identity (the identity included)."""
-    for w in all_permutations(n):
-        if w.is_involution:
-            yield w
+    """All w in S_n with w * w = identity (the identity included), in
+    lexicographic one-line order: the smallest free point is fixed first,
+    then paired with each larger free point in ascending order."""
+    im = [0] * n
+
+    def rec(free):
+        if not free:
+            yield Permutation(im)
+            return
+        i = free[0]
+        for k, j in enumerate(free):  # k = 0 fixes i
+            im[i], im[j] = j + 1, i + 1
+            yield from rec(free[1:k] + free[k + 1 :])
+
+    yield from rec(tuple(range(n)))
+
+
+def bruhat_leq_perm(u: Permutation, w: Permutation) -> bool:
+    """Whether u <= w in the Bruhat order of S_n, by the tableau criterion
+    (Bjorner-Brenti, Combinatorics of Coxeter Groups, Thm 2.1.5): for every
+    i, the sorted images u(1..i) are entrywise at most those of w."""
+    if u.degree != w.degree:
+        raise ValueError(f"degrees differ: {u.degree} and {w.degree}")
+    prefix_u, prefix_w = [], []
+    # the full prefixes are both 1..n, so the last one needs no check
+    for x, y in zip(u.images[:-1], w.images[:-1]):
+        insort(prefix_u, x)
+        insort(prefix_w, y)
+        if any(a > b for a, b in zip(prefix_u, prefix_w)):
+            return False
+    return True
 
 
 def permutation_to_weyl(rs: RootSystem, w: Permutation) -> WeylElement:

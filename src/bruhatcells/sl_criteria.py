@@ -16,15 +16,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .coxeter import build_root_system
 from .errors import GuardError
 from .partitions import Partition, dominance_leq
 from .permutations import (
     Permutation,
     all_permutations,
+    bruhat_leq_perm,
     exceedances,
     involutions,
-    permutation_to_weyl,
 )
 
 __all__ = [
@@ -265,14 +264,9 @@ def bruhat_lower_set(c: JordanClass) -> frozenset[Permutation]:
     n_plus_1 = c.n_plus_1
     if n_plus_1 > _LOWER_SET_DEGREE_LIMIT:
         raise GuardError(f"degree {n_plus_1} > {_LOWER_SET_DEGREE_LIMIT}")
-    rs = build_root_system(f"A{n_plus_1 - 1}")
-    top = permutation_to_weyl(rs, dense_cell_involution(c))
-    from .coxeter import bruhat_leq
-
+    top = dense_cell_involution(c)
     return frozenset(
-        w
-        for w in all_permutations(n_plus_1)
-        if bruhat_leq(permutation_to_weyl(rs, w), top)
+        w for w in all_permutations(n_plus_1) if bruhat_leq_perm(w, top)
     )
 
 
@@ -335,12 +329,8 @@ def closure_monotonicity(inner: JordanClass, outer: JordanClass) -> ClosureMonot
         for w in involutions(inner.n_plus_1)
         if involution_cell_meets(inner, w)
     )
-    rs = build_root_system(f"A{inner.n_plus_1 - 1}")
-    from .coxeter import bruhat_leq
-
-    comparable = bruhat_leq(
-        permutation_to_weyl(rs, dense_cell_involution(inner)),
-        permutation_to_weyl(rs, dense_cell_involution(outer)),
+    comparable = bruhat_leq_perm(
+        dense_cell_involution(inner), dense_cell_involution(outer)
     )
     return ClosureMonotonicity(cap_in <= cap_out, cells, comparable)
 

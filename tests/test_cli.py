@@ -1,8 +1,12 @@
 import json
+import re
 
 import pytest
 
 from bruhatcells.cli import main
+from bruhatcells.coxeter import build_root_system, bruhat_leq
+from bruhatcells.permutations import permutation_to_weyl
+from bruhatcells.sl_criteria import abstract_jordan_classes, bruhat_lower_set
 
 TRANSVECTION4 = {
     "n_plus_1": 4,
@@ -141,6 +145,24 @@ class TestHasse:
         text = out_path.read_text()
         assert text.startswith("digraph")
         assert '"(1 4)"' in text
+
+    @pytest.mark.parametrize("n_plus_1", [2, 3, 4, 5])
+    def test_edges_are_matrix_covers(self, jordan_file, capsys, n_plus_1):
+        # every edge of every diagram is a cover of the matrix Bruhat order
+        rs = build_root_system(f"A{n_plus_1 - 1}")
+        for c in abstract_jordan_classes(n_plus_1):
+            assert main(["hasse", "--jordan", jordan_file(c.to_json_dict())]) == 0
+            out = capsys.readouterr().out
+            edges = set(re.findall(r'"([^"]*)" -> "([^"]*)"', out))
+            lower = bruhat_lower_set(c)
+            weyl = {w: permutation_to_weyl(rs, w) for w in lower}
+            covers = {
+                (u.cycle_string(), v.cycle_string())
+                for u in lower
+                for v in lower
+                if weyl[v].length == weyl[u].length + 1 and bruhat_leq(weyl[u], weyl[v])
+            }
+            assert edges == covers, c.describe()
 
     def test_size_guard(self, jordan_file):
         path = jordan_file(

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from bruhatcells.errors import GuardError
 from bruhatcells.oracle import (
@@ -23,6 +25,7 @@ from bruhatcells.oracle import (
     sl_order,
     validate_class,
 )
+from bruhatcells.oracle import _cell_pattern, _opposite_pattern
 from bruhatcells.permutations import Permutation, all_permutations
 from bruhatcells.sl_criteria import JordanClass
 
@@ -132,6 +135,18 @@ class TestBruhatDecomposition:
                 assert bruhat_cell(w0) == Permutation.longest(n)
 
 
+@st.composite
+def invertible_matrices(draw):
+    field = PrimeField(draw(st.sampled_from([2, 3, 5])))
+    n = draw(st.integers(1, 4))
+    entries = draw(
+        st.lists(st.integers(0, field.p - 1), min_size=n * n, max_size=n * n)
+    )
+    g = MatrixFq(field, n, entries)
+    assume(g.det() != 0)
+    return g
+
+
 class TestOppositeCells:
     def test_diagonal_lands_at_identity(self):
         f = PrimeField(5)
@@ -144,13 +159,21 @@ class TestOppositeCells:
 
     def test_opposite_cell_below_plain_cell(self):
         # g in BuB forces the opposite cell of g to sit at or below u
-        from bruhatcells.oracle import _bruhat_leq_perm
+        from bruhatcells.permutations import bruhat_leq_perm
 
         f = PrimeField(3)
         rng = random.Random(11)
         for _ in range(150):
             g = random_invertible(rng, f, 3)
-            assert _bruhat_leq_perm(opposite_bruhat_cell(g), bruhat_cell(g))
+            assert bruhat_leq_perm(opposite_bruhat_cell(g), bruhat_cell(g))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(invertible_matrices())
+    def test_row_reversal_matches_w0_product(self, g):
+        n, field = g.n, g.field
+        assert _opposite_pattern(g.entries, n, field) == _cell_pattern(
+            (g * longest_monomial(n, field)).entries, n, field
+        )
 
 
 class TestCellCensus:
