@@ -27,7 +27,7 @@ for name in ["A3", "B3", "D4", "G2", "F4"]:
     rs = build_root_system(name)
     M = unique_max_involutions(rs)
     print(f"== {name}:  {len(M)} unique-maximal involutions ==")
-    for m in sorted(M.members, key=lambda w: w.length):
+    for m in sorted(M.members, key=lambda w: (w.length, w.rows)):
         J = M.fixed_simples[m]
         label = (
             weyl_to_permutation(m).cycle_string()
@@ -50,7 +50,7 @@ print()
 print("== the twisted-class corollary in A3 ==")
 rs = build_root_system("A3")
 delta = delta0_permutation(rs)
-for m in sorted(unique_max_involutions(rs).members, key=lambda w: w.length):
+for m in sorted(unique_max_involutions(rs).members, key=lambda w: (w.length, w.rows)):
     u = rs.w0 * m
     tc = twisted_class(u, delta)
     uniq = "unique" if tc.is_unique_min else "NOT unique"

@@ -136,10 +136,7 @@ def cmd_verify(args) -> int:
     try:
         for name in selected:
             fn = _VERIFY_CHECKS[name][0]
-            if name in ("ascent", "conjugate-j"):
-                reports.append(fn(t))
-            else:
-                reports.append(fn(t, allow_large=args.allow_large))
+            reports.append(fn(t, allow_large=args.allow_large))
     except GuardError as exc:
         return _fail_usage(str(exc))
     ok = all(r.passed for r in reports)

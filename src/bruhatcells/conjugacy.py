@@ -82,7 +82,7 @@ def enumerate_weyl_group(rs: RootSystem, allow_large: bool = False):
     if cached is None:
         _guard(rs, allow_large)
         frontier = [rs.identity]
-        seen = {rs.identity.rows}
+        seen = {rs.identity.perm}
         out = [rs.identity]
         ell = 0
         while frontier:
@@ -91,8 +91,8 @@ def enumerate_weyl_group(rs: RootSystem, allow_large: bool = False):
                 for i in range(rs.rank):
                     if not rs._has_right_descent(w, i):
                         v = rs._mul_gen_right(w, i, ell + 1)
-                        if v.rows not in seen:
-                            seen.add(v.rows)
+                        if v.perm not in seen:
+                            seen.add(v.perm)
                             nxt.append(v)
             nxt.sort(key=lambda e: e.rows)
             out.extend(nxt)
@@ -100,15 +100,6 @@ def enumerate_weyl_group(rs: RootSystem, allow_large: bool = False):
             ell += 1
         cached = rs._memo["all_elements"] = tuple(out)
     return cached
-
-
-def _length_table(rs: RootSystem, allow_large: bool = False) -> dict:
-    table = rs._memo.get("length_table")
-    if table is None:
-        table = rs._memo["length_table"] = {
-            w.rows: w.length for w in enumerate_weyl_group(rs, allow_large)
-        }
-    return table
 
 
 @dataclass(frozen=True)
@@ -151,18 +142,17 @@ class TwistedClass:
 
 
 def _orbit(rs: RootSystem, seed: WeylElement, left_index):
-    """Closure of seed under w |-> s_{left_index(i)} * w * s_i, frontier sorted."""
-    seen = {seed.rows: seed}
+    """Closure of seed under w |-> s_{left_index(i)} * w * s_i, keyed by perm."""
+    seen = {seed.perm: seed}
     frontier = [seed]
     while frontier:
         nxt = []
         for w in frontier:
             for i in range(rs.rank):
-                v = rs._mul_gen_left(left_index(i), rs._mul_gen_right(w, i))
-                if v.rows not in seen:
-                    seen[v.rows] = v
+                v = rs.simple_reflections[left_index(i)] * rs._mul_gen_right(w, i)
+                if v.perm not in seen:
+                    seen[v.perm] = v
                     nxt.append(v)
-        nxt.sort(key=lambda e: e.rows)
         frontier = nxt
     return seen
 
@@ -221,14 +211,14 @@ def is_unique_max(c) -> bool:
 
 
 def _partition_into_classes(rs, elements):
-    remaining = {w.rows: w for w in elements}
+    """Orbits of the elements, each seeded by its member with the smallest rows."""
+    seen = set()
     classes = []
-    while remaining:
-        seed_rows = min(remaining)
-        seed = remaining[seed_rows]
+    for seed in sorted(elements, key=lambda w: w.rows):
+        if seed.perm in seen:
+            continue
         found = _orbit(rs, seed, lambda i: i)
-        for rows in found:
-            remaining.pop(rows, None)
+        seen.update(found)
         maxs, mins = _extrema(found.values())
         classes.append(ConjugacyClass(seed, frozenset(found.values()), maxs, mins))
     return tuple(classes)
@@ -262,12 +252,12 @@ def involution_classes(rs: RootSystem, allow_large: bool = False):
         for mask in range(1 << rs.rank):
             J = [i + 1 for i in range(rs.rank) if mask >> i & 1]
             seed = ParabolicSubset(rs, J).longest
-            if seed.rows in seen:
+            if seed.perm in seen:
                 continue
             found = _orbit(rs, seed, lambda i: i)
             seen.update(found)
             maxs, mins = _extrema(found.values())
-            rep = found[min(found)]
+            rep = min(found.values(), key=lambda w: w.rows)
             classes.append(ConjugacyClass(rep, frozenset(found.values()), maxs, mins))
         classes.sort(key=lambda c: c.representative.rows)
         cached = rs._memo["inv_classes"] = tuple(classes)
@@ -344,7 +334,7 @@ def ascent_step(w: WeylElement, i: int) -> WeylElement | None:
     rs = w.rs
     if not 1 <= i <= rs.rank:
         raise ValueError(f"simple root index {i} out of range 1..{rs.rank}")
-    v = rs._mul_gen_left(i - 1, rs._mul_gen_right(w, i - 1))
+    v = rs.simple_reflections[i - 1] * rs._mul_gen_right(w, i - 1)
     return v if v.length >= w.length else None
 
 
@@ -352,20 +342,20 @@ def ascent_reachable(w: WeylElement, target: WeylElement) -> bool:
     """Whether some chain of non-decreasing conjugation steps leads w to target."""
     if w.rs is not target.rs:
         raise ValueError("elements belong to different root systems")
-    seen = {w.rows}
+    seen = {w.perm}
     frontier = [w]
     while frontier:
         nxt = []
         for u in frontier:
-            if u.rows == target.rows:
+            if u.perm == target.perm:
                 return True
             for i in range(1, u.rs.rank + 1):
                 v = ascent_step(u, i)
-                if v is not None and v.rows not in seen:
-                    seen.add(v.rows)
+                if v is not None and v.perm not in seen:
+                    seen.add(v.perm)
                     nxt.append(v)
         frontier = nxt
-    return target.rows in seen
+    return target.perm in seen
 
 
 def strong_conj_step(w: WeylElement, w2: WeylElement, x: WeylElement) -> bool:
@@ -399,41 +389,40 @@ def strongly_conjugate(w: WeylElement, w2: WeylElement) -> bool:
         return False
     group = enumerate_weyl_group(rs)
     inverses = _inverse_table(rs)
-    lengths = _length_table(rs)
-    seen = {w.rows}
+    seen = {w.perm}
     frontier = [w]
     while frontier:
         nxt = []
         for u in frontier:
-            if u.rows == w2.rows:
+            if u.perm == w2.perm:
                 return True
-            for v in _strong_conj_neighbors(rs, u, group, inverses, lengths):
-                if v.rows not in seen:
-                    seen.add(v.rows)
+            for v in _strong_conj_neighbors(u, group, inverses):
+                if v.perm not in seen:
+                    seen.add(v.perm)
                     nxt.append(v)
         frontier = nxt
-    return w2.rows in seen
+    return w2.perm in seen
 
 
 def _inverse_table(rs: RootSystem) -> dict:
     table = rs._memo.get("inverse_table")
     if table is None:
         table = rs._memo["inverse_table"] = {
-            w.rows: w.inv() for w in enumerate_weyl_group(rs)
+            w.perm: w.inv() for w in enumerate_weyl_group(rs)
         }
     return table
 
 
-def _strong_conj_neighbors(rs, u, group, inverses, lengths):
-    lu = lengths[u.rows]
+def _strong_conj_neighbors(u, group, inverses):
+    lu = u.length
     for x in group:
-        xinv = inverses[x.rows]
+        xinv = inverses[x.perm]
         xu = x * u
         v = xu * xinv
-        if lengths[v.rows] != lu:
+        if v.length != lu:
             continue
-        lx = lengths[x.rows]
-        if lu == lengths[xu.rows] + lx or lu == lx + lengths[(u * xinv).rows]:
+        lx = x.length
+        if lu == xu.length + lx or lu == lx + (u * xinv).length:
             yield v
 
 
@@ -611,28 +600,32 @@ def verify_unique_max_classification(t, allow_large: bool = False) -> Report:
     return rep
 
 
-def verify_subset_conjugacy(t) -> Report:
+def verify_subset_conjugacy(t, allow_large: bool = False) -> Report:
     """For subsets J, K with Property (1): the attached involutions are
-    conjugate exactly when some -w0-symmetric element maps J onto K."""
+    conjugate exactly when some -w0-symmetric element maps J onto K.
+
+    Scans the whole group, so it refuses Weyl groups with more than
+    STRONG_CONJ_LIMIT elements unless allow_large is set.
+    """
     rs = build_root_system(t)
-    if rs.cartan_type.weyl_order > STRONG_CONJ_LIMIT:
+    if rs.cartan_type.weyl_order > STRONG_CONJ_LIMIT and not allow_large:
         raise GuardError(f"|W({rs.cartan_type})| > {STRONG_CONJ_LIMIT}")
     rep = Report(f"subset conjugacy {rs.cartan_type}")
     subsets = sorted(subsets_with_property_one(rs), key=sorted)
     symmetric = [
-        w for w in enumerate_weyl_group(rs) if delta0_on_element(w) == w
+        w
+        for w in enumerate_weyl_group(rs, allow_large)
+        if delta0_on_element(w) == w
     ]
     simple = rs.simple_roots
     subject = str(rs.cartan_type)
     for J in subsets:
-        class_J = conjugacy_class(subset_involution(rs, J)).elements
+        class_J = conjugacy_class(subset_involution(rs, J), allow_large).elements
         roots_J = [simple[i - 1] for i in sorted(J)]
+        images_J = {frozenset(w(a) for a in roots_J) for w in symmetric}
         for K in subsets:
             conj = subset_involution(rs, K) in class_J
-            target = {simple[i - 1] for i in K}
-            mapped = any(
-                {w(a) for a in roots_J} == target for w in symmetric
-            )
+            mapped = frozenset(simple[i - 1] for i in K) in images_J
             rep.add(
                 subject,
                 f"conjugacy-matches-mapping {_fmt_subset(J)}->{_fmt_subset(K)}",
@@ -695,25 +688,24 @@ def verify_ascent_classes(t, allow_large: bool = False) -> Report:
     pairwise linked by strong-conjugation chains."""
     rs = build_root_system(t)
     rep = Report(f"ascent suite {rs.cartan_type}")
-    lengths = _length_table(rs, allow_large)
-    inverses = _inverse_table(rs)
     group = enumerate_weyl_group(rs, allow_large)
+    inverses = _inverse_table(rs)
     subject = str(rs.cartan_type)
     for c in conjugacy_classes(rs, allow_large):
         label = f"class-of-{_fmt(c.representative)}"
         # reverse closure: which elements reach the maximal stratum by ascents
-        reached = {w.rows for w in c.max_length}
+        reached = {w.perm for w in c.max_length}
         frontier = list(c.max_length)
         while frontier:
             nxt = []
             for v in frontier:
                 for i in range(rs.rank):
-                    u = rs._mul_gen_left(i, rs._mul_gen_right(v, i))
-                    if u.length <= v.length and u.rows not in reached:
-                        reached.add(u.rows)
+                    u = rs.simple_reflections[i] * rs._mul_gen_right(v, i)
+                    if u.length <= v.length and u.perm not in reached:
+                        reached.add(u.perm)
                         nxt.append(u)
             frontier = nxt
-        missing = [w for w in c.elements if w.rows not in reached]
+        missing = [w for w in c.elements if w.perm not in reached]
         rep.add(
             subject,
             f"{label} ascent-to-maximal",
@@ -722,13 +714,13 @@ def verify_ascent_classes(t, allow_large: bool = False) -> Report:
             None if not missing else _fmt(missing[0]),
         )
         # strong-conjugation connectivity on the maximal stratum
-        stratum = {w.rows: w for w in c.max_length}
+        stratum = {w.perm: w for w in c.max_length}
         if len(stratum) > 1:
-            edges = {rows: set() for rows in stratum}
+            edges = {perm: set() for perm in stratum}
             for u in c.max_length:
-                for v in _strong_conj_neighbors(rs, u, group, inverses, lengths):
-                    if v.rows in stratum:
-                        edges[u.rows].add(v.rows)
+                for v in _strong_conj_neighbors(u, group, inverses):
+                    if v.perm in stratum:
+                        edges[u.perm].add(v.perm)
             ok = all(
                 _covers(edges, start, set(stratum)) for start in stratum
             )

@@ -1,8 +1,10 @@
 """Root systems and Weyl groups of the simple Cartan types A-G.
 
-Group elements are integer matrices written in the simple-root basis, so
-they are exact, canonical and hashable for every type, including the
-exceptional ones.  Roots are integer coordinate vectors in the same basis.
+Roots are integer coordinate vectors in the simple-root basis.  Group
+elements are permutations of the root indices, as in GAP/CHEVIE and
+Casselman's reflection tables, so they are exact, canonical and hashable
+for every type, including the exceptional ones; products are tuple
+lookups, and the integer matrix of an element is derived when asked for.
 The module provides the length function, longest elements of parabolic
 subgroups, the Bruhat order, the automorphism w |-> w0*w*w0, reduced words
 and Coxeter elements.
@@ -20,6 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations as _permutations
 from math import factorial
+from operator import itemgetter
 
 from .errors import GuardError
 
@@ -132,29 +135,33 @@ def _diagram(t: CartanType):
 
 
 class WeylElement:
-    """A Weyl group element as an integer matrix in the simple-root basis.
+    """A Weyl group element as a permutation of the root indices.
 
-    Column j of ``rows`` holds the coordinates of the image of the j-th
-    simple root.  Equal group elements always have identical matrices, so
-    instances hash and compare by value.
+    ``perm[k]`` is the index in ``rs.roots`` of the image of ``rs.roots[k]``,
+    so a product is one tuple lookup per root and the length counts the
+    positive roots with negative images.  Equal group elements have identical
+    permutations, so instances hash and compare by value.  The integer matrix
+    in the simple-root basis is derived on request as ``rows``.
     """
 
-    __slots__ = ("rs", "rows", "_length", "_hash")
+    __slots__ = ("rs", "perm", "_length", "_hash")
 
-    def __init__(self, rs: "RootSystem", rows, length=None):
+    def __init__(self, rs: "RootSystem", perm, length=None):
         self.rs = rs
-        self.rows = rows
+        self.perm = perm
         self._length = length
         self._hash = None
 
     def __eq__(self, other):
         if not isinstance(other, WeylElement):
             return NotImplemented
-        return self.rows == other.rows and self.rs.cartan_type == other.rs.cartan_type
+        return self.perm == other.perm and (
+            self.rs is other.rs or self.rs.cartan_type == other.rs.cartan_type
+        )
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.rs.cartan_type, self.rows))
+            self._hash = hash(self.perm)
         return self._hash
 
     def __repr__(self):
@@ -164,80 +171,53 @@ class WeylElement:
     def __mul__(self, other: "WeylElement") -> "WeylElement":
         if self.rs is not other.rs:
             raise ValueError("elements belong to different root systems")
-        n = self.rs.rank
-        a, b = self.rows, other.rows
-        rng = range(n)
-        rows = tuple(
-            tuple(sum(ar[k] * b[k][j] for k in rng) for j in rng) for ar in a
-        )
-        return WeylElement(self.rs, rows)
+        return WeylElement(self.rs, itemgetter(*other.perm)(self.perm))
 
     def __call__(self, root):
         """Apply the element to a root (coordinate vector)."""
-        rng = range(self.rs.rank)
-        return tuple(sum(r[j] * root[j] for j in rng) for r in self.rows)
+        rs = self.rs
+        k = rs.root_index.get(tuple(root))
+        if k is None:
+            raise ValueError(f"{tuple(root)} is not a root of {rs.cartan_type}")
+        return rs.roots[self.perm[k]]
+
+    @property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        """The integer matrix in the simple-root basis, computed on each call:
+        column j holds the coordinates of the image of the j-th simple root."""
+        roots, perm = self.rs.roots, self.perm
+        return tuple(zip(*(roots[perm[k]] for k in self.rs.simple_index)))
 
     def inv(self) -> "WeylElement":
-        rs = self.rs
-        acc = rs.identity
-        cur = self
-        while True:
-            j = _descent(cur.rows, rs.rank)
-            if j is None:
-                break
-            cur = rs._mul_gen_right(cur, j)
-            acc = rs._mul_gen_right(acc, j)
-        acc._length = self.length
-        return acc
+        out = [0] * len(self.perm)
+        for k, image in enumerate(self.perm):
+            out[image] = k
+        return WeylElement(self.rs, tuple(out), self._length)
 
     @property
     def length(self) -> int:
         """Number of positive roots sent to negative roots."""
         if self._length is None:
-            n = self.rs.rank
-            cartan = self.rs.cartan
-            rows = [list(r) for r in self.rows]
-            count = 0
-            while True:
-                j = _descent(rows, n)
-                if j is None:
-                    break
-                cj = cartan[j]
-                for r in rows:
-                    a = r[j]
-                    if a:
-                        for k in range(n):
-                            r[k] -= a * cj[k]
-                count += 1
-            self._length = count
+            rs = self.rs
+            self._length = len(rs.negative.intersection(self.perm[rs.npos :]))
         return self._length
 
     @property
     def is_identity(self) -> bool:
-        return self.rows == self.rs.identity.rows
+        return self.perm == self.rs.identity.perm
 
     def is_involution(self) -> bool:
         """True when the element squares to the identity."""
-        rows = self.rows
-        n = self.rs.rank
-        rng = range(n)
-        for j in rng:
-            for r in rng:
-                want = 1 if r == j else 0
-                if sum(rows[r][k] * rows[k][j] for k in rng) != want:
-                    return False
-        return True
+        perm = self.perm
+        return itemgetter(*perm)(perm) == self.rs.identity.perm
 
 
-def _descent(rows, n) -> int | None:
-    """First column index j with w(alpha_j) negative, or None (identity)."""
-    for j in range(n):
-        for r in range(n):
-            v = rows[r][j]
-            if v < 0:
-                return j
-            if v > 0:
-                break
+def _descent(w: WeylElement) -> int | None:
+    """First 0-based j with w(alpha_{j+1}) negative, or None (identity)."""
+    perm, negative = w.perm, w.rs.negative
+    for j, k in enumerate(w.rs.simple_index):
+        if perm[k] in negative:
+            return j
     return None
 
 
@@ -247,6 +227,9 @@ class RootSystem:
     Attributes: ``cartan`` (Cartan integers C[i][j] = 2<a_i,a_j>/<a_i,a_i>),
     ``pairing`` (symmetrized form with short roots of squared length 2),
     ``simple_roots``, ``positive_roots`` and ``roots`` as coordinate tuples.
+    Weyl elements permute the indices of ``roots``: ``root_index`` inverts
+    that tuple, ``simple_index`` holds the indices of the simple roots and
+    ``negative`` those of the negative roots, which are the first ``npos``.
     """
 
     def __init__(self, cartan_type: CartanType):
@@ -269,37 +252,48 @@ class RootSystem:
         )
         self.roots = self._generate_roots()
         self.positive_roots = tuple(r for r in self.roots if _is_positive(r))
-        if 2 * len(self.positive_roots) != len(self.roots):
+        npos = self.npos = len(self.positive_roots)
+        # sorted coordinates put each negative root before every positive one
+        if 2 * npos != len(self.roots) or self.roots[npos:] != self.positive_roots:
             raise AssertionError("root generation produced an asymmetric set")
-        self.identity = WeylElement(
-            self, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), 0
-        )
+        self.root_index = {r: k for k, r in enumerate(self.roots)}
+        self.simple_index = tuple(self.root_index[a] for a in self.simple_roots)
+        self.negative = frozenset(range(npos))
+        self.identity = WeylElement(self, tuple(range(2 * npos)), 0)
         self.simple_reflections = tuple(
-            self._mul_gen_right(self.identity, i) for i in range(n)
+            WeylElement(
+                self,
+                tuple(self.root_index[self._reflect(i, r)] for r in self.roots),
+                1,
+            )
+            for i in range(n)
         )
-        for s in self.simple_reflections:
-            s._length = 1
+        # _right[i](w.perm) is the permutation of w * s_{i+1}
+        self._right = tuple(itemgetter(*s.perm) for s in self.simple_reflections)
         self._memo: dict = {}
 
     def __repr__(self):
         return f"RootSystem({self.cartan_type})"
 
+    def _reflect(self, i: int, v) -> tuple[int, ...]:
+        """s_{i+1}(v) for a coordinate vector v; i is 0-based."""
+        c = sum(a * b for a, b in zip(self.cartan[i], v))
+        if not c:
+            return v
+        w = list(v)
+        w[i] -= c
+        return tuple(w)
+
     def _generate_roots(self):
-        n = self.rank
-        cartan = self.cartan
         todo = list(self.simple_roots)
         seen = set(todo)
         while todo:
             v = todo.pop()
-            for i in range(n):
-                c = sum(cartan[i][j] * v[j] for j in range(n))
-                if c:
-                    w = list(v)
-                    w[i] -= c
-                    w = tuple(w)
-                    if w not in seen:
-                        seen.add(w)
-                        todo.append(w)
+            for i in range(self.rank):
+                w = self._reflect(i, v)
+                if w not in seen:
+                    seen.add(w)
+                    todo.append(w)
         return tuple(sorted(seen))
 
     def pair(self, alpha, beta) -> int:
@@ -309,35 +303,12 @@ class RootSystem:
         return sum(alpha[i] * b[i][j] * beta[j] for i in range(n) for j in range(n))
 
     def _mul_gen_right(self, w: WeylElement, i: int, length=None) -> WeylElement:
-        """w * s_{i+1} via a column update; i is 0-based."""
-        ci = self.cartan[i]
-        n = self.rank
-        rows = tuple(
-            tuple(r[j] - r[i] * ci[j] for j in range(n)) for r in w.rows
-        )
-        return WeylElement(self, rows, length)
-
-    def _mul_gen_left(self, i: int, w: WeylElement, length=None) -> WeylElement:
-        """s_{i+1} * w via a row update; i is 0-based."""
-        ci = self.cartan[i]
-        n = self.rank
-        rng = range(n)
-        new_row = tuple(
-            w.rows[i][j] - sum(ci[k] * w.rows[k][j] for k in rng if ci[k])
-            for j in rng
-        )
-        rows = tuple(new_row if r == i else w.rows[r] for r in rng)
-        return WeylElement(self, rows, length)
+        """w * s_{i+1}; i is 0-based."""
+        return WeylElement(self, self._right[i](w.perm), length)
 
     def _has_right_descent(self, w: WeylElement, i: int) -> bool:
         """True when l(w * s_{i+1}) < l(w); i is 0-based."""
-        for r in range(self.rank):
-            v = w.rows[r][i]
-            if v < 0:
-                return True
-            if v > 0:
-                return False
-        raise AssertionError("zero column in a Weyl element")
+        return w.perm[self.simple_index[i]] in self.negative
 
     @property
     def w0(self) -> WeylElement:
@@ -434,14 +405,14 @@ def bruhat_leq(u: WeylElement, w: WeylElement) -> bool:
     while True:
         lu, lw = u.length, w.length
         if lu >= lw:
-            res = u.rows == w.rows
+            res = u.perm == w.perm
             break
-        key = (u.rows, w.rows)
+        key = (u.perm, w.perm)
         res = cache.get(key)
         if res is not None:
             break
         missed.append(key)
-        j = _descent(w.rows, rs.rank)
+        j = _descent(w)
         if rs._has_right_descent(u, j):
             u = rs._mul_gen_right(u, j, lu - 1)
         w = rs._mul_gen_right(w, j, lw - 1)
@@ -478,7 +449,7 @@ def reduced_word(w: WeylElement) -> tuple[int, ...]:
     picks = []
     cur = w
     while True:
-        j = _descent(cur.rows, rs.rank)
+        j = _descent(cur)
         if j is None:
             break
         cur = rs._mul_gen_right(cur, j)

@@ -64,6 +64,11 @@ class TestVerify:
     def test_guarded_check_requires_override(self, capsys):
         assert main(["verify", "--type", "E6", "--checks", "conjugate-j"]) == 2
 
+    def test_override_reaches_guarded_check(self, capsys):
+        args = ["verify", "--type", "A7", "--checks", "conjugate-j", "--allow-large"]
+        assert main(args) == 0
+        assert "subset conjugacy A7" in capsys.readouterr().out
+
     def test_nothing_applicable_is_usage_error(self, capsys):
         # even with the override, 'all' has nothing that fits E8
         assert main(["verify", "--type", "E8", "--allow-large"]) == 2

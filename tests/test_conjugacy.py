@@ -416,6 +416,12 @@ class TestVerificationSuites:
     def test_subset_conjugacy(self, name):
         assert verify_subset_conjugacy(name).passed
 
+    def test_subset_conjugacy_guard_and_override(self):
+        # |W(A7)| = 40320 is above STRONG_CONJ_LIMIT
+        with pytest.raises(GuardError):
+            verify_subset_conjugacy("A7")
+        assert verify_subset_conjugacy("A7", allow_large=True).passed
+
     def test_subset_conjugacy_identity_pairs(self):
         rep = verify_subset_conjugacy("B3")
         assert rep.passed

@@ -167,7 +167,7 @@ class TestOppositeCells:
             g = random_invertible(rng, f, 3)
             assert bruhat_leq_perm(opposite_bruhat_cell(g), bruhat_cell(g))
 
-    @settings(max_examples=300, deadline=None, derandomize=True)
+    @settings(max_examples=300)
     @given(invertible_matrices())
     def test_row_reversal_matches_w0_product(self, g):
         n, field = g.n, g.field

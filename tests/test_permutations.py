@@ -46,7 +46,7 @@ class TestBruhatLeqPerm:
             for w in elements:
                 assert bruhat_leq_perm(u, w) == bruhat_leq(weyl[u], weyl[w]), (u, w)
 
-    @settings(max_examples=300, deadline=None, derandomize=True)
+    @settings(max_examples=300)
     @given(perm_pairs())
     def test_agrees_with_weyl_matrices_on_random_pairs(self, pair):
         u, w = pair
