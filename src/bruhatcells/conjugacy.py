@@ -11,6 +11,7 @@ verification suites that check the classification and its corollaries.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 from .coxeter import (
@@ -65,22 +66,45 @@ __all__ = [
 ]
 
 STRONG_CONJ_LIMIT = 10**4
+# Peak bytes that enumerate_weyl_group holds per element and per root (the
+# perm tuple's 8-byte slots dominate); tracemalloc gives 10.3 over all of
+# W(E6) and 10.5 over the first 235,088 elements of W(E7).
+ENUMERATION_BYTES_PER_ROOT = 10.5
 
 
-def _guard(rs: RootSystem, allow_large: bool):
+def _physical_mb() -> float | None:
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") / 2**20
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
+def _guard(rs: RootSystem, allow_large: bool, enumerates: bool = False):
+    """Refuse work above ENUMERATION_LIMIT unless allow_large; refuse an
+    enumeration of the whole group that cannot fit in physical memory in
+    any case."""
     order = rs.cartan_type.weyl_order
     if order > ENUMERATION_LIMIT and not allow_large:
         raise GuardError(
             f"|W({rs.cartan_type})| = {order} exceeds {ENUMERATION_LIMIT}; "
             "pass allow_large=True to force the enumeration"
         )
+    if enumerates:
+        need = order * len(rs.roots) * ENUMERATION_BYTES_PER_ROOT / 2**20
+        have = _physical_mb()
+        if have is not None and need > have:
+            raise GuardError(
+                f"enumerating the {order} elements of W({rs.cartan_type}) "
+                f"needs about {need:,.0f} MB, more than the {have:,.0f} MB "
+                "of physical memory; refused even with allow_large"
+            )
 
 
 def enumerate_weyl_group(rs: RootSystem, allow_large: bool = False):
     """All Weyl group elements, in breadth-first order by length (cached)."""
     cached = rs._memo.get("all_elements")
     if cached is None:
-        _guard(rs, allow_large)
+        _guard(rs, allow_large, enumerates=True)
         frontier = [rs.identity]
         seen = {rs.identity.perm}
         out = [rs.identity]

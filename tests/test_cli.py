@@ -4,7 +4,7 @@ import re
 import pytest
 
 from bruhatcells.cli import main
-from bruhatcells.coxeter import build_root_system, bruhat_leq
+from bruhatcells.coxeter import RootSystem, build_root_system, bruhat_leq
 from bruhatcells.permutations import permutation_to_weyl
 from bruhatcells.sl_criteria import abstract_jordan_classes, bruhat_lower_set
 
@@ -68,6 +68,18 @@ class TestVerify:
         args = ["verify", "--type", "A7", "--checks", "conjugate-j", "--allow-large"]
         assert main(args) == 0
         assert "subset conjugacy A7" in capsys.readouterr().out
+
+    def test_e8_enumeration_refused_by_memory_guard(self, capsys, monkeypatch):
+        def no_enumeration(*args, **kwargs):
+            raise AssertionError("the enumeration of W(E8) started")
+
+        monkeypatch.setattr(RootSystem, "_mul_gen_right", no_enumeration)
+        args = ["verify", "--type", "E8", "--checks", "ascent", "--allow-large"]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert "696729600 elements" in err
+        assert re.search(r"about [\d,]+ MB", err)
+        assert "all_elements" not in build_root_system("E8")._memo
 
     def test_nothing_applicable_is_usage_error(self, capsys):
         # even with the override, 'all' has nothing that fits E8

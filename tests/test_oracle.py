@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -25,8 +26,15 @@ from bruhatcells.oracle import (
     sl_order,
     validate_class,
 )
-from bruhatcells.oracle import _cell_pattern, _opposite_pattern
-from bruhatcells.permutations import Permutation, all_permutations
+from bruhatcells.oracle import (
+    DEFAULT_PAIRS,
+    _cell_pattern,
+    _iter_orbit,
+    _opposite_pattern,
+    _torus_class,
+    _torus_expand,
+)
+from bruhatcells.permutations import Permutation, all_permutations, bruhat_leq_perm
 from bruhatcells.sl_criteria import JordanClass
 
 
@@ -159,8 +167,6 @@ class TestOppositeCells:
 
     def test_opposite_cell_below_plain_cell(self):
         # g in BuB forces the opposite cell of g to sit at or below u
-        from bruhatcells.permutations import bruhat_leq_perm
-
         f = PrimeField(3)
         rng = random.Random(11)
         for _ in range(150):
@@ -293,15 +299,126 @@ class TestIntersectionTables:
         assert t1.cells == t2.cells and t1.opposite_cells == t2.opposite_cells
 
     def test_orbit_identical_from_any_member(self):
-        from bruhatcells.oracle import _iter_orbit
-
         c = JordanClass(2, [("u", (2,))], {"u": 1})
         orbit = set(geometric_orbit(c, 5))
         for other in sorted(orbit, key=lambda m: m.entries)[::7]:
             regrown = {
-                MatrixFq(other.field, 2, ent) for ent in _iter_orbit(other)
+                MatrixFq(other.field, 2, ent)
+                for rep, _ in _iter_orbit(other)
+                for ent in _torus_expand(rep, 2, other.field)
             }
             assert regrown == orbit
+
+
+def _reference_orbit(start):
+    """Every member of the GL(n)-conjugation orbit of start, one matrix at a
+    time: the search closed under all transvections I + e_ij and one
+    diagonal with a primitive root as first entry, independent of the
+    T-class walk."""
+    n, field = start.n, start.field
+    p = field.p
+    ops = []
+
+    def make_transvection(i, j):
+        def conj(m):
+            ib, jb = i * n, j * n
+            for k in range(n):  # row_i += row_j
+                m[ib + k] = (m[ib + k] + m[jb + k]) % p
+            for r in range(n):  # col_j -= col_i
+                b = r * n
+                m[b + j] = (m[b + j] - m[b + i]) % p
+
+        return conj
+
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                ops.append(make_transvection(i, j))
+    if p > 2:
+        g = field.primitive_root()
+        ginv = field.inverse[g]
+
+        def conj_diag(m):
+            for k in range(n):  # row_0 *= g
+                m[k] = m[k] * g % p
+            for r in range(n):  # col_0 *= g^-1
+                m[r * n] = m[r * n] * ginv % p
+
+        ops.append(conj_diag)
+    seen = {start.entries}
+    queue = [start.entries]
+    while queue:
+        ent = queue.pop()
+        yield ent
+        for op in ops:
+            m = list(ent)
+            op(m)
+            t = tuple(m)
+            if t not in seen:
+                seen.add(t)
+                queue.append(t)
+
+
+def _reference_table(c, p):
+    start = jordan_matrix(c, p)
+    n, field = start.n, start.field
+    size, cells, opposite = 0, set(), set()
+    for ent in _reference_orbit(start):
+        size += 1
+        cells.add(_cell_pattern(ent, n, field))
+        opposite.add(_opposite_pattern(ent, n, field))
+    cells = frozenset(Permutation(s) for s in cells)
+    w0 = Permutation.longest(n)
+    opposite = frozenset(Permutation(s) * w0 for s in opposite)
+    maxima = [
+        w for w in cells if not any(v != w and bruhat_leq_perm(w, v) for v in cells)
+    ]
+    return size, cells, opposite, maxima[0] if len(maxima) == 1 else None
+
+
+class TestTorusClassWalk:
+    @pytest.mark.parametrize("n,p", DEFAULT_PAIRS)
+    def test_tables_match_full_orbit_reference(self, n, p):
+        for c in field_classes(n, p):
+            t = intersection_table(c, p)
+            got = (t.orbit_size, t.cells, t.opposite_cells, t.bruhat_max)
+            assert got == _reference_table(c, p), c.describe()
+
+    @settings(max_examples=150)
+    @given(st.data())
+    def test_torus_class_properties(self, data):
+        p = data.draw(st.sampled_from([3, 5, 7]))
+        n = data.draw(st.integers(1, 4))
+        field = PrimeField(p)
+        m = data.draw(st.lists(st.integers(0, p - 1), min_size=n * n, max_size=n * n))
+        t = data.draw(st.lists(st.integers(1, p - 1), min_size=n, max_size=n))
+        rep, size = _torus_class(m, n, field)
+        # T-invariant
+        assert _torus_class(_torus_conjugate(m, t, field), n, field) == (rep, size)
+        # T-conjugate to its input (scalars act trivially, so t_0 = 1)
+        units = range(1, p)
+        torus = [(1,) + rest for rest in itertools.product(units, repeat=n - 1)]
+        assert any(_torus_conjugate(m, s, field) == rep for s in torus)
+        if n <= 3:
+            members = {_torus_conjugate(m, s, field) for s in torus}
+            assert size == len(members)
+            expanded = list(_torus_expand(rep, n, field))
+            assert len(expanded) == size and set(expanded) == members
+
+    def test_walk_visits_fewer_classes_than_matrices(self):
+        c = JordanClass(
+            3, [("a", (1,)), ("b", (1,)), ("c", (1,))], {"a": 1, "b": 2, "c": 3}
+        )
+        classes = list(_iter_orbit(jordan_matrix(c, 5)))
+        assert sum(size for _, size in classes) == gl_order(3, 5) // 4**3
+        assert len(classes) == len({rep for rep, _ in classes}) == 1506
+
+
+def _torus_conjugate(m, t, field):
+    n, inv = len(t), field.inverse
+    return tuple(
+        m[i * n + j] * t[i] * inv[t[j]] % field.p for i in range(n) for j in range(n)
+    )
 
 
 class TestCosetProducts:
