@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .coxeter import (
     CartanType,
@@ -40,9 +41,6 @@ __all__ = [
     "twisted_class",
     "conjugacy_classes",
     "involution_classes",
-    "max_length_elements",
-    "min_length_elements",
-    "is_unique_max",
     "unique_max_involutions",
     "max_length_involutions",
     "ascent_step",
@@ -66,10 +64,14 @@ __all__ = [
 ]
 
 STRONG_CONJ_LIMIT = 10**4
-# Peak bytes that enumerate_weyl_group holds per element and per root (the
-# perm tuple's 8-byte slots dominate); tracemalloc gives 10.3 over all of
-# W(E6) and 10.5 over the first 235,088 elements of W(E7).
-ENUMERATION_BYTES_PER_ROOT = 10.5
+# Peak bytes that enumerate_weyl_group holds per element: a fixed part (the
+# element object, the seen-set slot, list slots, the transient rows keys of
+# a frontier) plus the bytes of perm, one per root.  tracemalloc peaks per
+# element: 264.2 over all of W(D6) (60 roots), 221.5 over all of W(E6) (72)
+# and 424.9 over the first 235,088 elements of W(E7) (126).  The line below
+# passes through the D6 and E7 points and lies above the E6 one.
+ENUMERATION_BYTES_PER_ELEMENT = 118
+ENUMERATION_BYTES_PER_ROOT = 2.44
 
 
 def _physical_mb() -> float | None:
@@ -90,7 +92,10 @@ def _guard(rs: RootSystem, allow_large: bool, enumerates: bool = False):
             "pass allow_large=True to force the enumeration"
         )
     if enumerates:
-        need = order * len(rs.roots) * ENUMERATION_BYTES_PER_ROOT / 2**20
+        per_element = (
+            ENUMERATION_BYTES_PER_ELEMENT + ENUMERATION_BYTES_PER_ROOT * len(rs.roots)
+        )
+        need = order * per_element / 2**20
         have = _physical_mb()
         if have is not None and need > have:
             raise GuardError(
@@ -165,37 +170,47 @@ class TwistedClass:
         return len(self.elements)
 
 
-def _orbit(rs: RootSystem, seed: WeylElement, left_index):
-    """Closure of seed under w |-> s_{left_index(i)} * w * s_i, keyed by perm."""
-    seen = {seed.perm: seed}
-    frontier = [seed]
+_rows = attrgetter("rows")
+
+
+def _orbit(rs: RootSystem, seed: WeylElement, left_index) -> set:
+    """Closure of seed.perm under p |-> s_{left_index(i)} * p * s_i."""
+    conj = rs._conj
+    steps = [(left_index(i), i) for i in range(rs.rank)]
+    seen = {seed.perm}
+    frontier = [seed.perm]
     while frontier:
         nxt = []
-        for w in frontier:
-            for i in range(rs.rank):
-                v = rs.simple_reflections[left_index(i)] * rs._mul_gen_right(w, i)
-                if v.perm not in seen:
-                    seen[v.perm] = v
-                    nxt.append(v)
+        for p in frontier:
+            for j, i in steps:
+                q = conj(p, j, i)
+                if q not in seen:
+                    seen.add(q)
+                    nxt.append(q)
         frontier = nxt
     return seen
 
 
-def _extrema(elements):
-    by_len = sorted(elements, key=lambda w: (w.length, w.rows))
-    lo = by_len[0].length
-    hi = by_len[-1].length
-    mins = tuple(w for w in by_len if w.length == lo)
-    maxs = tuple(w for w in by_len if w.length == hi)
-    return maxs, mins
+def _materialize(rs: RootSystem, perms):
+    """The elements of an orbit and its minimal and maximal strata.
+
+    Lengths come first, so the sort key ``rows`` is built only for the two
+    extremal strata; each stratum is sorted by (length, rows) as before.
+    """
+    length = rs._length
+    elements = [WeylElement(rs, p, length(p)) for p in perms]
+    lo = min(w._length for w in elements)
+    hi = max(w._length for w in elements)
+    mins = tuple(sorted((w for w in elements if w._length == lo), key=_rows))
+    maxs = tuple(sorted((w for w in elements if w._length == hi), key=_rows))
+    return frozenset(elements), maxs, mins
 
 
 def conjugacy_class(w: WeylElement, allow_large: bool = False) -> ConjugacyClass:
     """Orbit of w under conjugation, grown by the simple-reflection generators."""
     _guard(w.rs, allow_large)
-    found = _orbit(w.rs, w, lambda i: i)
-    maxs, mins = _extrema(found.values())
-    return ConjugacyClass(w, frozenset(found.values()), maxs, mins)
+    elements, maxs, mins = _materialize(w.rs, _orbit(w.rs, w, lambda i: i))
+    return ConjugacyClass(w, elements, maxs, mins)
 
 
 def is_diagram_automorphism(rs: RootSystem, delta) -> bool:
@@ -217,21 +232,8 @@ def twisted_class(w: WeylElement, delta, allow_large: bool = False) -> TwistedCl
     if not is_diagram_automorphism(rs, delta):
         raise ValueError(f"{delta} is not a diagram automorphism of {rs.cartan_type}")
     _guard(rs, allow_large)
-    found = _orbit(rs, w, lambda i: delta[i] - 1)
-    maxs, mins = _extrema(found.values())
-    return TwistedClass(delta, w, frozenset(found.values()), maxs, mins)
-
-
-def max_length_elements(c) -> tuple[WeylElement, ...]:
-    return c.max_length
-
-
-def min_length_elements(c) -> tuple[WeylElement, ...]:
-    return c.min_length
-
-
-def is_unique_max(c) -> bool:
-    return c.is_unique_max
+    elements, maxs, mins = _materialize(rs, _orbit(rs, w, lambda i: delta[i] - 1))
+    return TwistedClass(delta, w, elements, maxs, mins)
 
 
 def _partition_into_classes(rs, elements):
@@ -243,8 +245,7 @@ def _partition_into_classes(rs, elements):
             continue
         found = _orbit(rs, seed, lambda i: i)
         seen.update(found)
-        maxs, mins = _extrema(found.values())
-        classes.append(ConjugacyClass(seed, frozenset(found.values()), maxs, mins))
+        classes.append(ConjugacyClass(seed, *_materialize(rs, found)))
     return tuple(classes)
 
 
@@ -280,9 +281,9 @@ def involution_classes(rs: RootSystem, allow_large: bool = False):
                 continue
             found = _orbit(rs, seed, lambda i: i)
             seen.update(found)
-            maxs, mins = _extrema(found.values())
-            rep = min(found.values(), key=lambda w: w.rows)
-            classes.append(ConjugacyClass(rep, frozenset(found.values()), maxs, mins))
+            elements, maxs, mins = _materialize(rs, found)
+            rep = min(elements, key=_rows)
+            classes.append(ConjugacyClass(rep, elements, maxs, mins))
         classes.sort(key=lambda c: c.representative.rows)
         cached = rs._memo["inv_classes"] = tuple(classes)
     return cached
@@ -358,7 +359,7 @@ def ascent_step(w: WeylElement, i: int) -> WeylElement | None:
     rs = w.rs
     if not 1 <= i <= rs.rank:
         raise ValueError(f"simple root index {i} out of range 1..{rs.rank}")
-    v = rs.simple_reflections[i - 1] * rs._mul_gen_right(w, i - 1)
+    v = WeylElement(rs, rs._conj(w.perm, i - 1, i - 1))
     return v if v.length >= w.length else None
 
 
@@ -719,15 +720,17 @@ def verify_ascent_classes(t, allow_large: bool = False) -> Report:
         label = f"class-of-{_fmt(c.representative)}"
         # reverse closure: which elements reach the maximal stratum by ascents
         reached = {w.perm for w in c.max_length}
-        frontier = list(c.max_length)
+        frontier = [(w.perm, w.length) for w in c.max_length]
         while frontier:
             nxt = []
-            for v in frontier:
+            for p, lp in frontier:
                 for i in range(rs.rank):
-                    u = rs.simple_reflections[i] * rs._mul_gen_right(v, i)
-                    if u.length <= v.length and u.perm not in reached:
-                        reached.add(u.perm)
-                        nxt.append(u)
+                    q = rs._conj(p, i, i)
+                    if q not in reached:
+                        lq = rs._length(q)
+                        if lq <= lp:
+                            reached.add(q)
+                            nxt.append((q, lq))
             frontier = nxt
         missing = [w for w in c.elements if w.perm not in reached]
         rep.add(

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import GuardError
 from .partitions import Partition, dominance_leq
@@ -264,7 +265,15 @@ def bruhat_lower_set(c: JordanClass) -> frozenset[Permutation]:
     n_plus_1 = c.n_plus_1
     if n_plus_1 > _LOWER_SET_DEGREE_LIMIT:
         raise GuardError(f"degree {n_plus_1} > {_LOWER_SET_DEGREE_LIMIT}")
-    top = dense_cell_involution(c)
+    return _lower_set(n_plus_1, two_cycle_cap(c))
+
+
+@lru_cache(maxsize=None)
+def _lower_set(n_plus_1: int, l: int) -> frozenset[Permutation]:
+    """The Bruhat interval below nested_involution(n_plus_1, l); it depends
+    on the class only through (degree, cap), and _LOWER_SET_DEGREE_LIMIT
+    bounds the number of entries."""
+    top = nested_involution(n_plus_1, l)
     return frozenset(
         w for w in all_permutations(n_plus_1) if bruhat_leq_perm(w, top)
     )
@@ -324,15 +333,22 @@ def closure_monotonicity(inner: JordanClass, outer: JordanClass) -> ClosureMonot
     if inner.n_plus_1 != outer.n_plus_1:
         raise ValueError("classes live in different groups")
     cap_in, cap_out = two_cycle_cap(inner), two_cycle_cap(outer)
+    # involution_cell_meets(c, w) is exceedances(w) <= two_cycle_cap(c)
     cells = all(
-        involution_cell_meets(outer, w)
-        for w in involutions(inner.n_plus_1)
-        if involution_cell_meets(inner, w)
+        e <= cap_out
+        for e in _involution_exceedances(inner.n_plus_1)
+        if e <= cap_in
     )
     comparable = bruhat_leq_perm(
         dense_cell_involution(inner), dense_cell_involution(outer)
     )
     return ClosureMonotonicity(cap_in <= cap_out, cells, comparable)
+
+
+@lru_cache(maxsize=None)
+def _involution_exceedances(n_plus_1: int) -> tuple[int, ...]:
+    """The distinct exceedance counts of the involutions of S_{n+1}, sorted."""
+    return tuple(sorted({exceedances(w) for w in involutions(n_plus_1)}))
 
 
 def _check_degree(c: JordanClass, w: Permutation):

@@ -7,6 +7,7 @@ there are no tolerances, only exact equality.
 
 import pytest
 
+from bruhatcells import clear_caches
 from bruhatcells.conjugacy import (
     unique_max_involutions,
     verify_ascent_classes,
@@ -197,7 +198,8 @@ def test_criterion_9_coxeter_elements_bounded():
 
 
 def test_optional_e7_classification():
-    """The E7 run: about 0.7 s and 30 MB peak RSS (2 vCPUs, Python 3.11)."""
+    """The E7 run: about 0.1 s of CPU time and 20 MB peak RSS (2 vCPUs,
+    Python 3.11)."""
     rep = verify_unique_max_classification("E7")
     announce("classification E7", rep.passed)
     got = len(unique_max_involutions(build_root_system("E7")))
@@ -205,9 +207,10 @@ def test_optional_e7_classification():
 
 
 def test_e8_classification():
-    """The E8 run: 199,952 involutions in 10 classes, about 26 s and 462 MB
-    peak RSS (2 vCPUs, Python 3.11); elements stored as integer matrices
-    needed about 109 s and 268 MB."""
+    """The E8 run: 199,952 involutions in 10 classes, 2.3-3.8 s of CPU time
+    and 104 MB peak RSS with bytes permutations (2 vCPUs, Python 3.11);
+    tuple permutations needed about 19 s and 462 MB, integer matrices about
+    109 s and 268 MB."""
     rs = build_root_system("E8")
     try:
         rep = verify_unique_max_classification("E8", allow_large=True)
@@ -216,4 +219,4 @@ def test_e8_classification():
         announce("classification size E8", got == 5, f"got {got}, want 5")
     finally:
         # release the classes, and keep the E8 guards of later tests in force
-        rs._memo.clear()
+        clear_caches()

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from bruhatcells import clear_caches, oracle, sl_criteria
 from bruhatcells.coxeter import (
     CartanType,
     ParabolicSubset,
@@ -19,8 +20,14 @@ from bruhatcells.coxeter import (
     word_str_to_element,
     word_to_element,
 )
-from bruhatcells.conjugacy import enumerate_weyl_group
+from bruhatcells.conjugacy import enumerate_weyl_group, involution_classes
 from bruhatcells.errors import GuardError
+from bruhatcells.oracle import intersection_table, validate_class
+from bruhatcells.sl_criteria import (
+    JordanClass,
+    bruhat_lower_set,
+    closure_monotonicity,
+)
 
 
 def subword_lower_set(w):
@@ -83,6 +90,27 @@ class TestRootSystem:
 
     def test_instances_cached(self):
         assert build_root_system("A3") is build_root_system(CartanType("A", 3))
+
+    def test_clear_caches(self):
+        held = build_root_system("A3")
+        classes = involution_classes(held)
+        transvection = JordanClass(2, [("u", (2,))], {"u": 1})
+        bruhat_lower_set(transvection)
+        closure_monotonicity(transvection, transvection)
+        validate_class(transvection, 3, intersection_table(transvection, 3))
+        caches = [
+            sl_criteria._lower_set,
+            sl_criteria._involution_exceedances,
+            oracle._support_forest,
+            oracle._cycle_type_classes,
+        ]
+        assert held._memo and all(f.cache_info().currsize for f in caches)
+        clear_caches()
+        assert not held._memo
+        assert not any(f.cache_info().currsize for f in caches)
+        fresh = build_root_system("A3")
+        assert fresh is not held
+        assert involution_classes(fresh) == classes
 
 
 class TestSimpleReflections:

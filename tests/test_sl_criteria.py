@@ -3,7 +3,12 @@ import json
 import pytest
 
 from bruhatcells.partitions import Partition, cycle_type
-from bruhatcells.permutations import Permutation, involutions
+from bruhatcells.permutations import (
+    Permutation,
+    all_permutations,
+    bruhat_leq_perm,
+    involutions,
+)
 from bruhatcells.sl_criteria import (
     JordanClass,
     abstract_jordan_classes,
@@ -323,3 +328,44 @@ class TestClosureMonotonicity:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             closure_monotonicity(TRANSVECTION4, JordanClass(3, [("u", (2, 1))]))
+
+
+class TestMemoisedAgainstPerClass:
+    """The lower sets, cached per (degree, cap), and the closure check, read
+    off cached exceedance counts, against the per-class computations they
+    replaced."""
+
+    @staticmethod
+    def lower_set_per_class(c):
+        top = dense_cell_involution(c)
+        return frozenset(
+            w for w in all_permutations(c.n_plus_1) if bruhat_leq_perm(w, top)
+        )
+
+    @staticmethod
+    def cells_monotone_per_pair(inner, outer, invs):
+        return all(
+            involution_cell_meets(outer, w)
+            for w in invs
+            if involution_cell_meets(inner, w)
+        )
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_lower_sets(self, n):
+        for c in abstract_jordan_classes(n):
+            assert bruhat_lower_set(c) == self.lower_set_per_class(c), c
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_closure_monotonicity(self, n):
+        classes = list(abstract_jordan_classes(n))
+        invs = list(involutions(n))
+        for inner in classes:
+            for outer in classes:
+                got = closure_monotonicity(inner, outer)
+                want = self.cells_monotone_per_pair(inner, outer, invs)
+                assert got.cells_monotone == want, (inner, outer)
+                caps = two_cycle_cap(inner), two_cycle_cap(outer)
+                assert got.cap_monotone == (caps[0] <= caps[1])
+                assert got.dense_elements_comparable == bruhat_leq_perm(
+                    dense_cell_involution(inner), dense_cell_involution(outer)
+                )

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from bruhatcells.conjugacy import enumerate_weyl_group
 from bruhatcells.coxeter import (
+    WeylElement,
     bruhat_leq,
     build_root_system,
     reduced_word,
@@ -25,6 +26,7 @@ TYPES = (
     [f"A{n}" for n in range(1, 9)]
     + ["A16"]  # 272 roots, more than fit in a byte
     + [f"B{n}" for n in range(2, 7)]
+    + ["B12"]  # 288 roots, the tuple arithmetic outside type A
     + [f"C{n}" for n in range(2, 7)]
     + ["D4", "D5", "D6", "E6", "E7", "E8", "F4", "G2"]
 )
@@ -94,6 +96,18 @@ class TestAgainstMatrices:
 
     @few
     @given(data=st.data())
+    def test_conjugation_step(self, name, data):
+        """The one-call step s_j * w * s_i that orbit searches take."""
+        rs = build_root_system(name)
+        word = data.draw(words(rs))
+        j, i = data.draw(st.integers(1, rs.rank)), data.draw(st.integers(1, rs.rank))
+        w = word_to_element(rs, word)
+        got = WeylElement(rs, rs._conj(w.perm, j - 1, i - 1))
+        assert got.rows == ref_word(rs, [j] + word + [i])
+        assert got == word_to_element(rs, [j] + word + [i])
+
+    @few
+    @given(data=st.data())
     def test_inverses(self, name, data):
         rs = build_root_system(name)
         word = data.draw(words(rs))
@@ -130,6 +144,19 @@ class TestAgainstMatrices:
         rows = ref_word(rs, word)
         want = ref_product(rows, rows) == ref_identity(rs.rank)
         assert word_to_element(rs, word).is_involution() == want
+
+
+@pytest.mark.parametrize(
+    "name, n_roots, encoding",
+    [("A15", 240, bytes), ("E8", 240, bytes), ("A16", 272, tuple), ("B12", 288, tuple)],
+)
+def test_encoding_boundary(name, n_roots, encoding):
+    """Permutations are bytes up to 256 roots and tuples of ints above."""
+    rs = build_root_system(name)
+    assert len(rs.roots) == n_roots
+    w = word_to_element(rs, range(1, rs.rank + 1))
+    for e in (rs.identity, *rs.simple_reflections, w, w * w, w.inv()):
+        assert type(e.perm) is encoding
 
 
 class TestRankOne:
