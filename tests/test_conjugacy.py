@@ -35,6 +35,7 @@ from bruhatcells.coxeter import (
     delta0_permutation,
     simple_reflection,
 )
+from bruhatcells import conjugacy
 from bruhatcells.errors import GuardError
 from bruhatcells.permutations import weyl_to_permutation
 
@@ -441,6 +442,16 @@ class TestVerificationSuites:
     @pytest.mark.parametrize("name", ["A2", "A3", "B3", "G2"])
     def test_ascent_suite(self, name):
         assert verify_ascent_classes(name).passed
+
+    def test_ascent_guard(self, monkeypatch):
+        # |W(E6)| = 51840 is above STRONG_CONJ_LIMIT; the refusal comes
+        # before any class is built
+        def no_classes(*args, **kwargs):
+            raise AssertionError("the classes of W(E6) were requested")
+
+        monkeypatch.setattr(conjugacy, "conjugacy_classes", no_classes)
+        with pytest.raises(GuardError, match="10000"):
+            verify_ascent_classes("E6")
 
     def test_report_shape(self):
         rep = verify_unique_max_classification("A2")

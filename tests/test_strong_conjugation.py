@@ -1,0 +1,109 @@
+"""Strong conjugation over conjugator cosets against a whole-group scan.
+
+The library finds the conjugators taking u to v as the coset t_v C t_u^-1 of
+the centralizer C = C_W(u0) (``conjugacy._conjugator_cosets``).  The
+reference below is the direct definition: every element x of W is tried as
+a conjugator.  It is exhaustive and only feasible for small groups.
+"""
+
+import pytest
+
+from bruhatcells.conjugacy import (
+    _conjugator_cosets,
+    _strongly_linked,
+    conjugacy_classes,
+    enumerate_weyl_group,
+    strongly_conjugate,
+)
+from bruhatcells.coxeter import build_root_system
+
+EDGE_TYPES = ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4",
+              "C2", "C3", "C4", "D4", "G2", "F4"]
+# (same-length pairs within a class, pairs among them strongly conjugate)
+CONJUGATE_PAIRS = {"A3": (70, 54), "B3": (116, 110), "G2": (16, 16)}
+
+
+def _strong_conj_neighbors(u, group, inverses):
+    """Every v = x*u*x^-1 of u's length, x in group, with l(u) = l(x*u) +
+    l(x) or l(u) = l(x) + l(u*x^-1)."""
+    lu = u.length
+    for x in group:
+        xinv = inverses[x.perm]
+        xu = x * u
+        v = xu * xinv
+        if v.length != lu:
+            continue
+        lx = x.length
+        if lu == xu.length + lx or lu == lx + (u * xinv).length:
+            yield v
+
+
+def _reference(rs):
+    group = enumerate_weyl_group(rs)
+    return group, {w.perm: w.inv() for w in group}
+
+
+def _reference_strongly_conjugate(w, w2, group, inverses):
+    seen = {w.perm}
+    todo = [w]
+    while todo:
+        u = todo.pop()
+        for v in _strong_conj_neighbors(u, group, inverses):
+            if v.perm not in seen:
+                seen.add(v.perm)
+                todo.append(v)
+    return w2.perm in seen
+
+
+@pytest.mark.parametrize("name", EDGE_TYPES)
+def test_transversal_centralizer_and_orbit_stabilizer(name):
+    rs = build_root_system(name)
+    mul, inverse = rs._mul, rs._inverse
+    order = rs.cartan_type.weyl_order
+    for c in conjugacy_classes(rs):
+        u0 = c.max_length[0].perm
+        t, centralizer = _conjugator_cosets(rs, u0)
+        assert set(t) == {w.perm for w in c.elements}
+        for v, tv in t.items():
+            assert mul(mul(tv, u0), inverse(tv)) == v
+        for x in centralizer:
+            assert mul(x, u0) == mul(u0, x)
+        assert len(set(centralizer)) == len(centralizer)
+        assert len(t) * len(centralizer) == order
+
+
+@pytest.mark.parametrize("name", EDGE_TYPES)
+def test_coset_edges_equal_whole_group_edges(name):
+    rs = build_root_system(name)
+    group, inverses = _reference(rs)
+    for c in conjugacy_classes(rs):
+        stratum = {w.perm for w in c.max_length}
+        t, centralizer = _conjugator_cosets(rs, c.max_length[0].perm)
+        for u in c.max_length:
+            ref = {v.perm for v in _strong_conj_neighbors(u, group, inverses)}
+            # x = e always links u to itself
+            assert u.perm in ref
+            ref &= stratum
+            got = {
+                v for v in stratum if _strongly_linked(rs, t, centralizer, u.perm, v)
+            }
+            assert got == ref, (name, c.representative, u)
+
+
+@pytest.mark.parametrize("name", sorted(CONJUGATE_PAIRS))
+def test_strongly_conjugate_matches_whole_group_search(name):
+    rs = build_root_system(name)
+    group, inverses = _reference(rs)
+    checked = linked = 0
+    for c in conjugacy_classes(rs):
+        members = sorted(c.elements, key=lambda w: (w.length, w.rows))
+        for w in members:
+            for w2 in members:
+                if w.length != w2.length:
+                    continue
+                want = _reference_strongly_conjugate(w, w2, group, inverses)
+                assert strongly_conjugate(w, w2) == want, (name, w, w2)
+                checked += 1
+                linked += want
+    # in A3 and B3 both answers occur, so the comparison is not vacuous
+    assert (checked, linked) == CONJUGATE_PAIRS[name]
