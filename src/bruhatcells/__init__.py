@@ -10,7 +10,6 @@ that checks everything empirically.
 
 from .coxeter import (
     CartanType,
-    ParabolicSubset,
     RootSystem,
     WeylElement,
     bruhat_leq,
@@ -29,7 +28,6 @@ from .coxeter import (
 from .conjugacy import (
     ConjugacyClass,
     MaximalSet,
-    TwistedClass,
     ascent_reachable,
     ascent_step,
     catalog_subsets,
@@ -120,10 +118,9 @@ __version__ = "0.1.0"
 def clear_caches() -> None:
     """Drop every cached result: the memo of each root system built so far
     (classes, Bruhat order, longest elements), the cached root systems, the
-    type-A lower sets and exceedance counts, and the oracle's support
-    forests and cycle-type tables.  Later calls recompute what they need."""
+    type-A lower sets, and the oracle's support forests and cycle-type
+    tables.  Later calls recompute what they need."""
     coxeter._clear_caches()
     sl_criteria._lower_set.cache_clear()
-    sl_criteria._involution_exceedances.cache_clear()
     oracle._support_forest.cache_clear()
     oracle._cycle_type_classes.cache_clear()

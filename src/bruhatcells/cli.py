@@ -116,6 +116,11 @@ def cmd_verify(args) -> int:
     else:
         selected = [c.strip() for c in args.checks.split(",") if c.strip()]
         skipped = []
+        if not selected:
+            return _fail_usage(
+                f"no checks named in {args.checks!r}; available: "
+                f"{sorted(_VERIFY_CHECKS)} or 'all'"
+            )
         unknown = [c for c in selected if c not in _VERIFY_CHECKS]
         if unknown:
             return _fail_usage(
@@ -127,11 +132,6 @@ def cmd_verify(args) -> int:
                     f"|W({t})| = {t.weyl_order} exceeds the guard for {name}; "
                     "rerun with --allow-large"
                 )
-    if t.weyl_order > ENUMERATION_LIMIT and not args.allow_large:
-        return _fail_usage(
-            f"|W({t})| = {t.weyl_order} exceeds {ENUMERATION_LIMIT}; "
-            "rerun with --allow-large"
-        )
     reports = []
     try:
         for name in selected:

@@ -18,7 +18,6 @@ from operator import attrgetter
 from .coxeter import (
     CartanType,
     ENUMERATION_LIMIT,
-    ParabolicSubset,
     RootSystem,
     WeylElement,
     bruhat_leq,
@@ -26,6 +25,7 @@ from .coxeter import (
     coxeter_elements,
     delta0_permutation,
     element_to_word_str,
+    longest_element,
 )
 from .errors import GuardError
 from .permutations import weyl_to_permutation
@@ -33,7 +33,6 @@ from .report import Report
 
 __all__ = [
     "ConjugacyClass",
-    "TwistedClass",
     "MaximalSet",
     "enumerate_weyl_group",
     "conjugacy_class",
@@ -80,15 +79,20 @@ def _physical_mb() -> float | None:
         return None
 
 
-def _guard(rs: RootSystem, allow_large: bool, enumerates: bool = False):
-    """Refuse work above ENUMERATION_LIMIT unless allow_large; refuse an
-    enumeration of the whole group that cannot fit in physical memory in
-    any case."""
+def _guard(
+    rs: RootSystem,
+    allow_large: bool,
+    limit: int = ENUMERATION_LIMIT,
+    enumerates: bool = False,
+):
+    """Refuse Weyl groups with more than limit elements unless allow_large;
+    refuse an enumeration of the whole group that cannot fit in physical
+    memory in any case."""
     order = rs.cartan_type.weyl_order
-    if order > ENUMERATION_LIMIT and not allow_large:
+    if order > limit and not allow_large:
         raise GuardError(
-            f"|W({rs.cartan_type})| = {order} exceeds {ENUMERATION_LIMIT}; "
-            "pass allow_large=True to force the enumeration"
+            f"|W({rs.cartan_type})| = {order} exceeds {limit}; "
+            "functions that take allow_large lift this limit with allow_large=True"
         )
     if enumerates:
         per_element = (
@@ -132,30 +136,17 @@ def enumerate_weyl_group(rs: RootSystem, allow_large: bool = False):
 
 @dataclass(frozen=True)
 class ConjugacyClass:
-    """A conjugacy class, materialized; extremal-length sublists are sorted."""
+    """A conjugacy class, materialized; extremal-length sublists are sorted.
+
+    With a diagram automorphism delta it is the delta-twisted class, the
+    orbit under u |-> delta(s) * u * s over the simple reflections s.
+    """
 
     representative: WeylElement
     elements: frozenset[WeylElement]
     max_length: tuple[WeylElement, ...]
     min_length: tuple[WeylElement, ...]
-
-    @property
-    def is_unique_max(self) -> bool:
-        return len(self.max_length) == 1
-
-    def __len__(self):
-        return len(self.elements)
-
-
-@dataclass(frozen=True)
-class TwistedClass:
-    """A delta-twisted conjugacy class for a diagram automorphism delta."""
-
-    delta: tuple[int, ...]
-    representative: WeylElement
-    elements: frozenset[WeylElement]
-    max_length: tuple[WeylElement, ...]
-    min_length: tuple[WeylElement, ...]
+    delta: tuple[int, ...] | None = None
 
     @property
     def is_unique_max(self) -> bool:
@@ -172,10 +163,11 @@ class TwistedClass:
 _rows = attrgetter("rows")
 
 
-def _orbit(rs: RootSystem, seed: WeylElement, left_index) -> set:
-    """Closure of seed.perm under p |-> s_{left_index(i)} * p * s_i."""
+def _orbit(rs: RootSystem, seed: WeylElement, delta=None) -> set:
+    """Closure of seed.perm under p |-> s_delta(i) * p * s_i (delta 1-based,
+    the identity when None)."""
     conj = rs._conj
-    steps = [(left_index(i), i) for i in range(rs.rank)]
+    steps = [(i if delta is None else delta[i] - 1, i) for i in range(rs.rank)]
     seen = {seed.perm}
     frontier = [seed.perm]
     while frontier:
@@ -208,8 +200,7 @@ def _materialize(rs: RootSystem, perms):
 def conjugacy_class(w: WeylElement, allow_large: bool = False) -> ConjugacyClass:
     """Orbit of w under conjugation, grown by the simple-reflection generators."""
     _guard(w.rs, allow_large)
-    elements, maxs, mins = _materialize(w.rs, _orbit(w.rs, w, lambda i: i))
-    return ConjugacyClass(w, elements, maxs, mins)
+    return ConjugacyClass(w, *_materialize(w.rs, _orbit(w.rs, w)))
 
 
 def is_diagram_automorphism(rs: RootSystem, delta) -> bool:
@@ -224,36 +215,46 @@ def is_diagram_automorphism(rs: RootSystem, delta) -> bool:
     )
 
 
-def twisted_class(w: WeylElement, delta, allow_large: bool = False) -> TwistedClass:
+def twisted_class(w: WeylElement, delta, allow_large: bool = False) -> ConjugacyClass:
     """Orbit of w under u |-> delta(s) * u * s over the simple reflections s."""
     rs = w.rs
     delta = tuple(delta)
     if not is_diagram_automorphism(rs, delta):
         raise ValueError(f"{delta} is not a diagram automorphism of {rs.cartan_type}")
     _guard(rs, allow_large)
-    elements, maxs, mins = _materialize(rs, _orbit(rs, w, lambda i: delta[i] - 1))
-    return TwistedClass(delta, w, elements, maxs, mins)
+    return ConjugacyClass(w, *_materialize(rs, _orbit(rs, w, delta)), delta)
 
 
-def _partition_into_classes(rs, elements):
-    """Orbits of the elements, each seeded by its member with the smallest rows."""
+def _classes(rs: RootSystem, seeds) -> tuple[ConjugacyClass, ...]:
+    """The conjugacy classes of the seeds; a seed inside a class already
+    found is skipped.  Each class is represented by its element with the
+    smallest matrix ``rows``, and the classes are sorted by that
+    representative."""
     seen = set()
     classes = []
-    for seed in sorted(elements, key=lambda w: w.rows):
+    for seed in seeds:
         if seed.perm in seen:
             continue
-        found = _orbit(rs, seed, lambda i: i)
+        found = _orbit(rs, seed)
         seen.update(found)
-        classes.append(ConjugacyClass(seed, *_materialize(rs, found)))
+        elements, maxs, mins = _materialize(rs, found)
+        classes.append(ConjugacyClass(min(elements, key=_rows), elements, maxs, mins))
+    classes.sort(key=lambda c: c.representative.rows)
     return tuple(classes)
+
+
+def _subsets(n: int):
+    """All subsets of 1..n, as frozensets, in binary order."""
+    for mask in range(1 << n):
+        yield frozenset(i + 1 for i in range(n) if mask >> i & 1)
 
 
 def conjugacy_classes(rs: RootSystem, allow_large: bool = False):
     """All conjugacy classes of the Weyl group."""
     cached = rs._memo.get("conj_classes")
     if cached is None:
-        elements = enumerate_weyl_group(rs, allow_large)
-        cached = rs._memo["conj_classes"] = _partition_into_classes(rs, elements)
+        seeds = enumerate_weyl_group(rs, allow_large)
+        cached = rs._memo["conj_classes"] = _classes(rs, seeds)
     return cached
 
 
@@ -262,29 +263,14 @@ def involution_classes(rs: RootSystem, allow_large: bool = False):
 
     Every involution is conjugate to the longest element w0J of some
     parabolic subgroup W_J (Richardson, Bull. Austral. Math. Soc. 26, 1982),
-    so the classes are the orbits of the 2^rank seeds w0J, J a subset of the
-    simple roots; a seed already inside a found class is skipped, and the
-    group itself is never enumerated.  Each class is represented by its
-    element with the smallest matrix ``rows``, and the classes are sorted by
-    that representative.
+    so the classes are those of the 2^rank seeds w0J, J a subset of the
+    simple roots, and the group itself is never enumerated.
     """
     cached = rs._memo.get("inv_classes")
     if cached is None:
         _guard(rs, allow_large)
-        seen = set()
-        classes = []
-        for mask in range(1 << rs.rank):
-            J = [i + 1 for i in range(rs.rank) if mask >> i & 1]
-            seed = ParabolicSubset(rs, J).longest
-            if seed.perm in seen:
-                continue
-            found = _orbit(rs, seed, lambda i: i)
-            seen.update(found)
-            elements, maxs, mins = _materialize(rs, found)
-            rep = min(elements, key=_rows)
-            classes.append(ConjugacyClass(rep, elements, maxs, mins))
-        classes.sort(key=lambda c: c.representative.rows)
-        cached = rs._memo["inv_classes"] = tuple(classes)
+        seeds = (longest_element(rs, J) for J in _subsets(rs.rank))
+        cached = rs._memo["inv_classes"] = _classes(rs, seeds)
     return cached
 
 
@@ -300,57 +286,40 @@ class MaximalSet:
         return len(self.members)
 
 
-def unique_max_involutions(
-    rs: RootSystem, mode: str = "involutions", allow_large: bool = False
-) -> MaximalSet:
+def _maximal_set(rs: RootSystem, unique: bool, allow_large: bool) -> MaximalSet:
+    """The maximal-length elements of the involution classes, of those
+    classes with a unique one when unique is set (memoised)."""
+    key = ("maximal_set", unique)
+    cached = rs._memo.get(key)
+    if cached is None:
+        fixed = {}
+        for c in involution_classes(rs, allow_large):
+            if unique and not c.is_unique_max:
+                continue
+            for m in c.max_length:
+                if not m.is_involution():
+                    raise AssertionError(
+                        f"maximal element {element_to_word_str(m)} "
+                        "is not an involution"
+                    )
+                fixed[m] = fixed_simple_roots(m)
+        cached = rs._memo[key] = MaximalSet(rs.cartan_type, frozenset(fixed), fixed)
+    return cached
+
+
+def unique_max_involutions(rs: RootSystem, allow_large: bool = False) -> MaximalSet:
     """Elements that are the unique maximal-length member of their class.
 
-    The default mode scans involution classes only, which is exact because
-    a class containing a unique longest element is inverse-closed, forcing
-    that element to be an involution; the "exhaustive" mode re-derives the
-    same set from all classes and is kept as a cross-check at small rank.
+    Scanning the involution classes is exact: a class containing a unique
+    longest element is inverse-closed, forcing that element to be an
+    involution.
     """
-    key = ("unique_max", mode)
-    cached = rs._memo.get(key)
-    if cached is not None:
-        return cached
-    if mode == "involutions":
-        classes = involution_classes(rs, allow_large)
-    elif mode == "exhaustive":
-        classes = conjugacy_classes(rs, allow_large)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    members = []
-    fixed = {}
-    for c in classes:
-        if c.is_unique_max:
-            m = c.max_length[0]
-            if not m.is_involution():
-                raise AssertionError(
-                    f"unique maximal element {element_to_word_str(m)} "
-                    "is not an involution"
-                )
-            members.append(m)
-            fixed[m] = fixed_simple_roots(m)
-    result = MaximalSet(rs.cartan_type, frozenset(members), fixed)
-    rs._memo[key] = result
-    return result
+    return _maximal_set(rs, True, allow_large)
 
 
 def max_length_involutions(rs: RootSystem, allow_large: bool = False) -> MaximalSet:
     """Involutions of maximal (not necessarily unique) length in their class."""
-    cached = rs._memo.get("max_involutions")
-    if cached is not None:
-        return cached
-    members = []
-    fixed = {}
-    for c in involution_classes(rs, allow_large):
-        for m in c.max_length:
-            members.append(m)
-            fixed[m] = fixed_simple_roots(m)
-    result = MaximalSet(rs.cartan_type, frozenset(members), fixed)
-    rs._memo["max_involutions"] = result
-    return result
+    return _maximal_set(rs, False, allow_large)
 
 
 def ascent_step(w: WeylElement, i: int) -> WeylElement | None:
@@ -405,11 +374,7 @@ def strongly_conjugate(w: WeylElement, w2: WeylElement) -> bool:
     rs = w.rs
     if rs is not w2.rs:
         raise ValueError("elements belong to different root systems")
-    if rs.cartan_type.weyl_order > STRONG_CONJ_LIMIT:
-        raise GuardError(
-            f"|W({rs.cartan_type})| > {STRONG_CONJ_LIMIT}: "
-            "strong-conjugation searches are limited to small groups"
-        )
+    _guard(rs, False, STRONG_CONJ_LIMIT)
     if w.length != w2.length:
         return False
     return w2.perm in _strong_component(rs, w.perm, w2.perm)
@@ -516,7 +481,7 @@ def property_one(rs: RootSystem, J) -> bool:
     if {dp[i - 1] for i in J} != J:
         return False
     w0 = rs.w0
-    w0J = ParabolicSubset(rs, J).longest
+    w0J = longest_element(rs, J)
     return all(
         w0(rs.simple_roots[i - 1]) == w0J(rs.simple_roots[i - 1]) for i in J
     )
@@ -568,18 +533,17 @@ def _filtered_subsets(rs, require_two):
         n = rs.rank
         if n > 8:
             raise GuardError(f"rank {n} > 8: 2^rank subsets")
-        out = []
-        for mask in range(1 << n):
-            J = frozenset(i + 1 for i in range(n) if mask >> i & 1)
-            if property_one(rs, J) and (not require_two or property_two(rs, J)):
-                out.append(J)
-        cached = rs._memo[key] = frozenset(out)
+        cached = rs._memo[key] = frozenset(
+            J
+            for J in _subsets(n)
+            if property_one(rs, J) and (not require_two or property_two(rs, J))
+        )
     return cached
 
 
 def subset_involution(rs: RootSystem, J) -> WeylElement:
     """The element w0 * w0J attached to a subset of simple roots."""
-    return rs.w0 * ParabolicSubset(rs, J).longest
+    return rs.w0 * longest_element(rs, J)
 
 
 def fixed_simple_roots(m: WeylElement) -> frozenset[int]:
@@ -686,13 +650,16 @@ def verify_subset_conjugacy(t, allow_large: bool = False) -> Report:
     """For subsets J, K with Property (1): the attached involutions are
     conjugate exactly when some -w0-symmetric element maps J onto K.
 
-    Conjugacy is read off ``involution_classes``; the symmetric elements are
-    picked from the whole group, so it refuses Weyl groups with more than
-    STRONG_CONJ_LIMIT elements unless allow_large is set.
+    Conjugacy is read off ``involution_classes``.  The symmetric elements,
+    those with w0 * x * w0 = x, form the centralizer C_W(w0) and come from
+    ``_conjugator_cosets``, so the group is not enumerated.  It refuses Weyl
+    groups with more than STRONG_CONJ_LIMIT elements unless allow_large is
+    set.  When w0 = -1 the centralizer is the whole group, and its size is
+    guarded like an enumeration.
     """
     rs = build_root_system(t)
-    if rs.cartan_type.weyl_order > STRONG_CONJ_LIMIT and not allow_large:
-        raise GuardError(f"|W({rs.cartan_type})| > {STRONG_CONJ_LIMIT}")
+    w0_central = delta0_permutation(rs) == tuple(range(1, rs.rank + 1))
+    _guard(rs, allow_large, STRONG_CONJ_LIMIT, enumerates=w0_central)
     rep = Report(f"subset conjugacy {rs.cartan_type}")
     subsets = sorted(subsets_with_property_one(rs), key=sorted)
     class_of = {
@@ -700,12 +667,7 @@ def verify_subset_conjugacy(t, allow_large: bool = False) -> Report:
         for k, c in enumerate(involution_classes(rs, allow_large))
         for w in c.elements
     }
-    mul, w0 = rs._mul, rs.w0.perm
-    symmetric = [
-        w.perm
-        for w in enumerate_weyl_group(rs, allow_large)
-        if mul(mul(w0, w.perm), w0) == w.perm
-    ]
+    symmetric = _conjugator_cosets(rs, rs.w0.perm)[1]
     simple = rs.simple_index
     subject = str(rs.cartan_type)
     for J in subsets:
@@ -780,8 +742,7 @@ def verify_ascent_classes(t, allow_large: bool = False) -> Report:
     more than STRONG_CONJ_LIMIT elements unless allow_large is set.
     """
     rs = build_root_system(t)
-    if rs.cartan_type.weyl_order > STRONG_CONJ_LIMIT and not allow_large:
-        raise GuardError(f"|W({rs.cartan_type})| > {STRONG_CONJ_LIMIT}")
+    _guard(rs, allow_large, STRONG_CONJ_LIMIT)
     rep = Report(f"ascent suite {rs.cartan_type}")
     subject = str(rs.cartan_type)
     for c in conjugacy_classes(rs, allow_large):

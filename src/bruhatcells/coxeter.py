@@ -35,7 +35,6 @@ __all__ = [
     "CartanType",
     "RootSystem",
     "WeylElement",
-    "ParabolicSubset",
     "build_root_system",
     "simple_reflection",
     "longest_element",
@@ -427,48 +426,23 @@ def simple_reflection(rs: RootSystem, i: int) -> WeylElement:
     return rs.simple_reflections[i - 1]
 
 
-class ParabolicSubset:
-    """A subset J of simple-root indices with its longest element w_{0,J}
-    and the positive roots supported on J."""
-
-    def __init__(self, rs: RootSystem, indices):
-        indices = frozenset(indices)
-        for i in indices:
-            if not 1 <= i <= rs.rank:
-                raise ValueError(f"simple root index {i} out of range 1..{rs.rank}")
-        self.rs = rs
-        self.indices = indices
-        self.span_positive = tuple(
-            r
-            for r in rs.positive_roots
-            if all(r[j] == 0 or (j + 1) in indices for j in range(rs.rank))
-        )
-        self.longest = self._greedy_longest()
-
-    def _greedy_longest(self) -> WeylElement:
-        rs = self.rs
-        w = rs.identity
-        ell = 0
-        idx = sorted(i - 1 for i in self.indices)
-        changed = True
-        while changed:
-            changed = False
-            for i in idx:
-                if not rs._has_right_descent(w, i):
-                    w = rs._mul_gen_right(w, i, ell + 1)
-                    ell += 1
-                    changed = True
-        return w
-
-    def __repr__(self):
-        return f"ParabolicSubset({self.rs.cartan_type}, {sorted(self.indices)})"
-
-
 def longest_element(rs: RootSystem, J=None) -> WeylElement:
-    """Longest element of the parabolic subgroup W_J (whole group if J is None)."""
-    if J is None:
-        J = range(1, rs.rank + 1)
-    return ParabolicSubset(rs, J).longest
+    """Longest element w0J of the parabolic subgroup W_J (whole group if J
+    is None), grown by right multiplication with any generator of J that
+    is not yet a right descent."""
+    idx = range(rs.rank) if J is None else sorted({i - 1 for i in J})
+    for i in idx:
+        if not 0 <= i < rs.rank:
+            raise ValueError(f"simple root index {i + 1} out of range 1..{rs.rank}")
+    w = rs.identity
+    changed = True
+    while changed:
+        changed = False
+        for i in idx:
+            if not rs._has_right_descent(w, i):
+                w = rs._mul_gen_right(w, i, w._length + 1)
+                changed = True
+    return w
 
 
 def bruhat_leq(u: WeylElement, w: WeylElement) -> bool:

@@ -61,6 +61,12 @@ class TestVerify:
     def test_unknown_check(self, capsys):
         assert main(["verify", "--type", "A3", "--checks", "nonsense"]) == 2
 
+    def test_empty_selection_is_usage_error(self, capsys):
+        assert main(["verify", "--type", "A3", "--checks", ","]) == 2
+        out, err = capsys.readouterr()
+        assert not out
+        assert "no checks named" in err
+
     def test_guarded_check_requires_override(self, capsys):
         assert main(["verify", "--type", "E6", "--checks", "conjugate-j"]) == 2
 
@@ -80,6 +86,13 @@ class TestVerify:
         assert "696729600 elements" in err
         assert re.search(r"about [\d,]+ MB", err)
         assert "all_elements" not in build_root_system("E8")._memo
+
+    def test_e8_centralizer_refused_by_memory_guard(self, capsys):
+        # w0 = -1 in E8, so C_W(w0) is the whole group
+        args = ["verify", "--type", "E8", "--checks", "conjugate-j", "--allow-large"]
+        assert main(args) == 2
+        assert "696729600 elements" in capsys.readouterr().err
+        assert "inv_classes" not in build_root_system("E8")._memo
 
     def test_nothing_applicable_is_usage_error(self, capsys):
         # even with the override, 'all' has nothing that fits E8

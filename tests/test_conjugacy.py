@@ -1,7 +1,8 @@
 import pytest
 
 from bruhatcells.conjugacy import (
-    _partition_into_classes,
+    _classes,
+    _conjugator_cosets,
     ascent_reachable,
     ascent_step,
     catalog_subsets,
@@ -33,6 +34,7 @@ from bruhatcells.coxeter import (
     bruhat_leq,
     build_root_system,
     delta0_permutation,
+    longest_element,
     simple_reflection,
 )
 from bruhatcells import conjugacy
@@ -239,7 +241,7 @@ class TestInvolutionClasses:
         # fresh root systems, so the cached ones keep no enumerated group
         rs = RootSystem(CartanType.from_string(name))
         invs = [w for w in enumerate_weyl_group(rs) if w.is_involution()]
-        reference = _partition_into_classes(rs, invs)
+        reference = _classes(rs, invs)
         assert involution_classes(RootSystem(CartanType.from_string(name))) == reference
 
     def test_group_is_not_enumerated(self):
@@ -272,8 +274,8 @@ class TestMaximalSets:
     @pytest.mark.parametrize("name", ["A2", "A3", "A4", "B2", "B3", "B4", "D4", "G2"])
     def test_involution_scan_matches_exhaustive_scan(self, name):
         rs = build_root_system(name)
-        fast = unique_max_involutions(rs, mode="involutions").members
-        slow = unique_max_involutions(rs, mode="exhaustive").members
+        fast = unique_max_involutions(rs).members
+        slow = {c.max_length[0] for c in conjugacy_classes(rs) if c.is_unique_max}
         assert fast == slow
 
     @pytest.mark.parametrize("name", ["A3", "B3", "B4", "D4"])
@@ -364,12 +366,10 @@ class TestSubsetInvolutionMaps:
             fixed_simple_roots(s1 * s2)
 
     def test_length_complementary_to_parabolic(self):
-        from bruhatcells.coxeter import ParabolicSubset
-
         rs = build_root_system("B3")
         for J in subsets_with_property_one(rs):
             m = subset_involution(rs, J)
-            assert m.length == rs.w0.length - ParabolicSubset(rs, J).longest.length
+            assert m.length == rs.w0.length - longest_element(rs, J).length
 
 
 class TestCatalog:
@@ -422,6 +422,23 @@ class TestVerificationSuites:
         with pytest.raises(GuardError):
             verify_subset_conjugacy("A7")
         assert verify_subset_conjugacy("A7", allow_large=True).passed
+
+    @pytest.mark.parametrize(
+        "name,proper",
+        [("A3", True), ("A4", True), ("A5", True), ("D5", True), ("E6", True),
+         ("B3", False), ("D4", False)],
+    )
+    def test_symmetric_elements_are_the_centralizer_of_w0(self, name, proper):
+        # the -w0-symmetric elements, w0*x*w0 = x, that the subset-conjugacy
+        # suite maps J with; a proper subgroup exactly when w0 is not -1
+        rs = RootSystem(CartanType.from_string(name))
+        w0, mul = rs.w0.perm, rs._mul
+        group = {w.perm for w in enumerate_weyl_group(rs)}
+        symmetric = {p for p in group if mul(mul(w0, p), w0) == p}
+        centralizer = _conjugator_cosets(rs, w0)[1]
+        assert len(centralizer) == len(symmetric)
+        assert set(centralizer) == symmetric
+        assert (symmetric < group) == proper
 
     def test_subset_conjugacy_identity_pairs(self):
         rep = verify_subset_conjugacy("B3")

@@ -332,8 +332,7 @@ class TestClosureMonotonicity:
 
 class TestMemoisedAgainstPerClass:
     """The lower sets, cached per (degree, cap), and the closure check, read
-    off cached exceedance counts, against the per-class computations they
-    replaced."""
+    off the two caps, against the per-class computations they replaced."""
 
     @staticmethod
     def lower_set_per_class(c):
