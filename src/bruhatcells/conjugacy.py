@@ -20,6 +20,7 @@ from .coxeter import (
     ENUMERATION_LIMIT,
     RootSystem,
     WeylElement,
+    _coerce_type,
     bruhat_leq,
     build_root_system,
     coxeter_elements,
@@ -63,11 +64,13 @@ __all__ = [
 
 STRONG_CONJ_LIMIT = 10**4
 # Peak bytes that enumerate_weyl_group holds per element: a fixed part (the
-# element object, the seen-set slot, list slots, the transient rows keys of
-# a frontier) plus the bytes of perm, one per root.  tracemalloc peaks per
-# element: 264.2 over all of W(D6) (60 roots), 221.5 over all of W(E6) (72)
-# and 424.9 over the first 235,088 elements of W(E7) (126).  The line below
-# passes through the D6 and E7 points and lies above the E6 one.
+# element object, the seen-set slot, list slots) plus the bytes of perm, one
+# per root.  tracemalloc peaks per element, taken when each frontier was
+# also sorted by rows keys: 264.2 over all of W(D6) (60 roots), 221.5 over
+# all of W(E6) (72) and 424.9 over the first 235,088 elements of W(E7)
+# (126).  The line below passes through the D6 and E7 points and lies above
+# the E6 one.  Without the sort the peaks are lower (256.6 for D6, 218.1 for
+# E6), so the line is an upper bound.
 ENUMERATION_BYTES_PER_ELEMENT = 118
 ENUMERATION_BYTES_PER_ROOT = 2.44
 
@@ -79,21 +82,26 @@ def _physical_mb() -> float | None:
         return None
 
 
+def _order_guard(t: CartanType, allow_large: bool, limit: int = ENUMERATION_LIMIT):
+    """Refuse Weyl groups with more than limit elements unless allow_large."""
+    order = t.weyl_order
+    if order > limit and not allow_large:
+        raise GuardError(
+            f"|W({t})| = {order} exceeds {limit}; "
+            "functions that take allow_large lift this limit with allow_large=True"
+        )
+
+
 def _guard(
     rs: RootSystem,
     allow_large: bool,
     limit: int = ENUMERATION_LIMIT,
     enumerates: bool = False,
 ):
-    """Refuse Weyl groups with more than limit elements unless allow_large;
-    refuse an enumeration of the whole group that cannot fit in physical
-    memory in any case."""
+    """The order guard; then refuse an enumeration of the whole group that
+    cannot fit in physical memory in any case."""
     order = rs.cartan_type.weyl_order
-    if order > limit and not allow_large:
-        raise GuardError(
-            f"|W({rs.cartan_type})| = {order} exceeds {limit}; "
-            "functions that take allow_large lift this limit with allow_large=True"
-        )
+    _order_guard(rs.cartan_type, allow_large, limit)
     if enumerates:
         per_element = (
             ENUMERATION_BYTES_PER_ELEMENT + ENUMERATION_BYTES_PER_ROOT * len(rs.roots)
@@ -126,7 +134,6 @@ def enumerate_weyl_group(rs: RootSystem, allow_large: bool = False):
                         if v.perm not in seen:
                             seen.add(v.perm)
                             nxt.append(v)
-            nxt.sort(key=lambda e: e.rows)
             out.extend(nxt)
             frontier = nxt
             ell += 1
@@ -297,11 +304,6 @@ def _maximal_set(rs: RootSystem, unique: bool, allow_large: bool) -> MaximalSet:
             if unique and not c.is_unique_max:
                 continue
             for m in c.max_length:
-                if not m.is_involution():
-                    raise AssertionError(
-                        f"maximal element {element_to_word_str(m)} "
-                        "is not an involution"
-                    )
                 fixed[m] = fixed_simple_roots(m)
         cached = rs._memo[key] = MaximalSet(rs.cartan_type, frozenset(fixed), fixed)
     return cached
@@ -609,6 +611,15 @@ def _fmt(w: WeylElement) -> str:
     return element_to_word_str(w)
 
 
+def _suite_system(t, allow_large: bool, limit: int = ENUMERATION_LIMIT) -> RootSystem:
+    """The root system of t for a verification suite, built only once the
+    order guard admits t: building it is the costly part of a refusal (A60
+    takes seconds)."""
+    t = _coerce_type(t)
+    _order_guard(t, allow_large, limit)
+    return build_root_system(t)
+
+
 def _fmt_subset(J) -> str:
     return "{" + " ".join(map(str, sorted(J))) + "}"
 
@@ -616,7 +627,7 @@ def _fmt_subset(J) -> str:
 def verify_unique_max_classification(t, allow_large: bool = False) -> Report:
     """Check that the unique-maximal involutions, the property-based subset
     enumeration, and the stored catalog all produce the same set."""
-    rs = build_root_system(t)
+    rs = _suite_system(t, allow_large)
     rep = Report(f"unique-max classification {rs.cartan_type}")
     computed = unique_max_involutions(rs, allow_large=allow_large).members
     from_props = frozenset(
@@ -657,7 +668,7 @@ def verify_subset_conjugacy(t, allow_large: bool = False) -> Report:
     set.  When w0 = -1 the centralizer is the whole group, and its size is
     guarded like an enumeration.
     """
-    rs = build_root_system(t)
+    rs = _suite_system(t, allow_large, STRONG_CONJ_LIMIT)
     w0_central = delta0_permutation(rs) == tuple(range(1, rs.rank + 1))
     _guard(rs, allow_large, STRONG_CONJ_LIMIT, enumerates=w0_central)
     rep = Report(f"subset conjugacy {rs.cartan_type}")
@@ -690,7 +701,7 @@ def verify_subset_conjugacy(t, allow_large: bool = False) -> Report:
 def verify_twisted_minimum(t, allow_large: bool = False) -> Report:
     """Each unique-maximal involution m gives w0*m as the unique minimal
     length element of its twisted class under the -w0 diagram symmetry."""
-    rs = build_root_system(t)
+    rs = _suite_system(t, allow_large)
     rep = Report(f"twisted minimum {rs.cartan_type}")
     delta = delta0_permutation(rs)
     subject = str(rs.cartan_type)
@@ -714,7 +725,7 @@ def verify_twisted_minimum(t, allow_large: bool = False) -> Report:
 def verify_coxeter_bound(t, allow_large: bool = False) -> Report:
     """Every Coxeter element sits below every nonidentity unique-maximal
     involution in the Bruhat order."""
-    rs = build_root_system(t)
+    rs = _suite_system(t, allow_large)
     rep = Report(f"coxeter bound {rs.cartan_type}")
     members = unique_max_involutions(rs, allow_large=allow_large).members
     cox = sorted(coxeter_elements(rs), key=lambda w: w.rows)
@@ -741,8 +752,7 @@ def verify_ascent_classes(t, allow_large: bool = False) -> Report:
     The classes come from the whole group, so it refuses Weyl groups with
     more than STRONG_CONJ_LIMIT elements unless allow_large is set.
     """
-    rs = build_root_system(t)
-    _guard(rs, allow_large, STRONG_CONJ_LIMIT)
+    rs = _suite_system(t, allow_large, STRONG_CONJ_LIMIT)
     rep = Report(f"ascent suite {rs.cartan_type}")
     subject = str(rs.cartan_type)
     for c in conjugacy_classes(rs, allow_large):

@@ -28,7 +28,6 @@ from .permutations import (
     Permutation,
     all_permutations,
     bruhat_leq_perm,
-    exceedances,
     involutions,
 )
 from .report import Report
@@ -36,11 +35,12 @@ from .sl_criteria import (
     JordanClass,
     SPHERICAL_CHAR_CAVEAT,
     block_sum_partition,
+    bruhat_lower_set,
     dense_cell_involution,
-    eigenspace_corank,
+    involution_cell_meets,
     is_spherical,
+    passes_corank_bound,
     spherical_weyl_set,
-    two_cycle_cap,
     weyl_class_inside,
 )
 
@@ -170,26 +170,23 @@ class MatrixFq:
         return MatrixFq(self.field, n, out)
 
     def det(self) -> int:
+        """sign(sigma) times the pivots of the monomial matrix that
+        ``_eliminate`` leaves: its row and column operations are
+        unitriangular and keep the determinant.  0 when it is singular."""
         if self._det is None:
             n, p = self.n, self.field.p
-            m = [list(self.entries[i * n : (i + 1) * n]) for i in range(n)]
+            m = list(self.entries)
+            try:
+                sigma = _eliminate(m, n, self.field)
+            except ValueError:
+                self._det = 0
+                return 0
             det = 1
-            for j in range(n):
-                piv = next((i for i in range(j, n) if m[i][j]), None)
-                if piv is None:
-                    det = 0
-                    break
-                if piv != j:
-                    m[j], m[piv] = m[piv], m[j]
-                    det = -det
-                det = det * m[j][j] % p
-                inv = self.field.inverse[m[j][j]]
-                for i in range(j + 1, n):
-                    f = m[i][j] * inv % p
-                    if f:
-                        for k in range(j, n):
-                            m[i][k] = (m[i][k] - f * m[j][k]) % p
-            self._det = det % p
+            for j, i in enumerate(sigma):
+                det = det * m[(i - 1) * n + j] % p
+            if Permutation(sigma).inversions() % 2:
+                det = -det % p
+            self._det = det
         return self._det
 
     def inverse(self) -> "MatrixFq":
@@ -755,9 +752,8 @@ def validate_class(
     n = c.n_plus_1
     rep = Report(f"class checks SL({n}) {c.describe()} p={p}")
     subject = f"SL({n}) {c.describe()} q={p}"
-    corank = eigenspace_corank(c)
-    cap = two_cycle_cap(c)
     m_c = dense_cell_involution(c)
+    lower = bruhat_lower_set(c)
     blocks = block_sum_partition(c)
     cells = table.cells
     opposite = table.opposite_cells
@@ -769,13 +765,13 @@ def validate_class(
         cells <= opposite,
         _first_cycle(cells - opposite),
     )
-    bad = [w for w in cells if exceedances(w) > corank]
+    bad = [w for w in cells if not passes_corank_bound(c, w)]
     rep.add(subject, "members-obey-corank-bound", "SOUND", not bad, _first_cycle(bad))
-    bad = [w for w in cells if not bruhat_leq_perm(w, m_c)]
+    bad = cells - lower
     rep.add(
         subject, "members-below-dense-element", "SOUND", not bad, _first_cycle(bad)
     )
-    bad = [w for w in opposite if not bruhat_leq_perm(w, m_c)]
+    bad = opposite - lower
     rep.add(
         subject,
         "opposite-members-below-dense-element",
@@ -783,7 +779,9 @@ def validate_class(
         not bad,
         _first_cycle(bad),
     )
-    bad = [w for w in cells if w.is_involution and exceedances(w) > cap]
+    bad = [
+        w for w in cells if w.is_involution and not involution_cell_meets(c, w)
+    ]
     rep.add(
         subject, "involutions-obey-two-cycle-cap", "SOUND", not bad, _first_cycle(bad)
     )
@@ -801,7 +799,7 @@ def validate_class(
         bad[0] if bad else None,
     )
 
-    predicted_inv = {w for w in involutions(n) if exceedances(w) <= cap}
+    predicted_inv = {w for w in involutions(n) if involution_cell_meets(c, w)}
     got_inv = {w for w in cells if w.is_involution}
     rep.add(
         subject,
@@ -810,7 +808,6 @@ def validate_class(
         got_inv == predicted_inv,
         _first_cycle(got_inv ^ predicted_inv),
     )
-    lower = {w for w in all_permutations(n) if bruhat_leq_perm(w, m_c)}
     rep.add(
         subject,
         "opposite-cells-equal-lower-set",

@@ -94,6 +94,57 @@ class TestVerify:
         assert "696729600 elements" in capsys.readouterr().err
         assert "inv_classes" not in build_root_system("E8")._memo
 
+    def test_all_runs_every_suite_its_own_guard_admits(self, capsys):
+        # A9 is within the enumeration limit, but classifying subsets and
+        # Coxeter elements refuse rank 9 and the strong suites refuse |W|
+        assert main(["verify", "--type", "A9", "--format", "json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert [r["name"] for r in data["reports"]] == ["twisted minimum A9"]
+        assert data["skipped"] == [
+            "m-classification",
+            "ascent",
+            "conjugate-j",
+            "coxeter-bound",
+        ]
+        assert main(["verify", "--type", "A9"]) == 0
+        out = capsys.readouterr().out
+        assert "# skipped coxeter-bound: group too large for this check" in out
+
+    def test_refused_named_check_names_the_suite(self, capsys, monkeypatch):
+        from bruhatcells import cli
+
+        ran = []
+
+        def spy(name):
+            suite = cli._VERIFY_CHECKS[name][0]
+
+            def run(t, allow_large=False):
+                ran.append(name)
+                return suite(t, allow_large=allow_large)
+
+            monkeypatch.setitem(cli._VERIFY_CHECKS, name, (run,))
+
+        spy("twisted-min")
+        spy("coxeter-bound")
+        args = ["verify", "--type", "A9", "--checks", "twisted-min,coxeter-bound"]
+        assert main(args) == 2
+        out, err = capsys.readouterr()
+        assert ran == ["twisted-min", "coxeter-bound"]
+        assert not out
+        assert "coxeter-bound" in err and "rank 9 > 8" in err
+
+    def test_refusal_does_not_build_the_root_system(self, capsys, monkeypatch):
+        from bruhatcells import conjugacy
+
+        def no_build(t):
+            raise AssertionError(f"built the root system of {t}")
+
+        monkeypatch.setattr(conjugacy, "build_root_system", no_build)
+        assert main(["verify", "--type", "A60"]) == 2
+        assert "no verification suite fits" in capsys.readouterr().err
+        assert main(["verify", "--type", "A60", "--checks", "ascent"]) == 2
+        assert "ascent" in capsys.readouterr().err
+
     def test_nothing_applicable_is_usage_error(self, capsys):
         # even with the override, 'all' has nothing that fits E8
         assert main(["verify", "--type", "E8", "--allow-large"]) == 2
@@ -283,9 +334,7 @@ class TestViolationExitCode:
             rep.add(str(t), "stub-check", "EXACT", False, "w")
             return rep
 
-        monkeypatch.setitem(
-            cli._VERIFY_CHECKS, "m-classification", (fake_verify, 10**7)
-        )
+        monkeypatch.setitem(cli._VERIFY_CHECKS, "m-classification", (fake_verify,))
         assert main(["verify", "--type", "A3", "--checks", "m-classification"]) == 1
         out = capsys.readouterr().out
         assert "FAIL" in out and "witness=w" in out

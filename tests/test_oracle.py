@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -79,6 +80,34 @@ class TestMatrixFq:
             assert (m * m.inverse()) == MatrixFq.identity(f, 3)
             prod = m.det() * m.inverse().det() % 7
             assert prod == 1
+
+    @given(
+        st.sampled_from([2, 3, 5, 7]).flatmap(
+            lambda p: st.integers(1, 4).flatmap(
+                lambda n: st.tuples(
+                    st.just(p),
+                    st.just(n),
+                    st.lists(st.integers(0, p - 1), min_size=n * n, max_size=n * n),
+                )
+            )
+        )
+    )
+    @settings(max_examples=300)
+    def test_det_matches_leibniz_formula(self, drawn):
+        p, n, entries = drawn
+        expected = 0
+        for w in all_permutations(n):
+            term = -1 if w.inversions() % 2 else 1
+            for j in range(n):
+                term *= entries[(w(j + 1) - 1) * n + j]
+            expected += term
+        assert MatrixFq(PrimeField(p), n, entries).det() == expected % p
+
+    def test_det_of_singular_matrices_is_zero(self):
+        f = PrimeField(5)
+        assert MatrixFq.from_rows(f, [[1, 2], [2, 4]]).det() == 0
+        assert MatrixFq.from_rows(f, [[0, 0, 0], [1, 2, 3], [4, 0, 1]]).det() == 0
+        assert MatrixFq(f, 1, [0]).det() == 0
 
     def test_hashing_and_key(self):
         f = PrimeField(3)
@@ -469,6 +498,34 @@ class TestValidateClass:
         rep = validate_class(c, 5)
         assert rep.passed
         assert not any(r.check == "spherical-cells-match" for r in rep.results)
+
+    def test_sound_predictions_catch_a_cell_outside_them(self):
+        # the central class meets only the identity cell
+        c = JordanClass(3, [("u", (1, 1, 1))], {"u": 1})
+        table = intersection_table(c, 5)
+        w0 = Permutation.longest(3)
+        doctored = dataclasses.replace(
+            table, cells=table.cells | {w0}, opposite_cells=table.opposite_cells | {w0}
+        )
+        assert validate_class(c, 5, table).passed
+        failed = {r.check for r in validate_class(c, 5, doctored).failed(("SOUND",))}
+        assert failed == {
+            "members-obey-corank-bound",
+            "members-below-dense-element",
+            "opposite-members-below-dense-element",
+            "involutions-obey-two-cycle-cap",
+        }
+
+    def test_complete_prediction_catches_a_missing_opposite_cell(self):
+        c = JordanClass(3, [("u", (2, 1))], {"u": 1})
+        table = intersection_table(c, 5)
+        dropped = min(table.opposite_cells - table.cells, key=lambda w: w.images)
+        doctored = dataclasses.replace(
+            table, opposite_cells=table.opposite_cells - {dropped}
+        )
+        assert validate_class(c, 5, table).passed
+        failed = {r.check for r in validate_class(c, 5, doctored).failed()}
+        assert "opposite-cells-equal-lower-set" in failed
 
 
 class TestFieldClasses:
