@@ -125,7 +125,7 @@ def cmd_verify(args) -> int:
         except GuardError as exc:
             if named:
                 return _fail_usage(f"check {name} refused: {exc}")
-            skipped.append(name)
+            skipped.append((name, exc))
     if not reports:
         return _fail_usage(
             f"no verification suite fits |W({t})| = {t.weyl_order}; "
@@ -138,7 +138,7 @@ def cmd_verify(args) -> int:
                 {
                     "type": str(t),
                     "passed": ok,
-                    "skipped": skipped,
+                    "skipped": [name for name, _ in skipped],
                     "reports": [r.to_dict() for r in reports],
                 },
                 indent=2,
@@ -147,8 +147,8 @@ def cmd_verify(args) -> int:
     else:
         for r in reports:
             print(r.to_text())
-        for name in skipped:
-            print(f"# skipped {name}: group too large for this check")
+        for name, exc in skipped:
+            print(f"# skipped {name}: {exc}")
     return 0 if ok else CHECK_FAILED
 
 

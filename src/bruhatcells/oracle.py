@@ -17,10 +17,10 @@ representative of each class is eliminated: over DEFAULT_PAIRS that is
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from math import prod
 
 from .errors import GuardError
 from .partitions import cycle_type, partitions_of
@@ -639,17 +639,13 @@ def field_classes(n: int, p: int):
     return out
 
 
-def coset_product_report(
-    w: Permutation,
-    p: int,
-    sample_budget: int | None = None,
-    seed: int = 12345,
-) -> Report:
+def coset_product_report(w: Permutation, p: int) -> Report:
     """Probe the identity BwB^- B = union of the cells Bw'B with w' >= w.
 
-    Every sampled product must land in a cell at or above w (SOUND); when
-    the triple loop over (b, c, b') is exhaustive, the attained cells must
-    be exactly the upper set of w (COMPLETE).
+    Cells are B-double cosets, so b * wdot * c * b' lies in the cell of
+    wdot * c for b, b' in B, and one pass over c in B^- reaches every cell
+    the products reach.  Each must lie at or above w (SOUND), and together
+    they must be exactly the upper set of w (COMPLETE).
     """
     n = w.degree
     if n > 3 or p > 5:
@@ -657,85 +653,37 @@ def coset_product_report(
     field = PrimeField(p)
     rep = Report(f"coset product w={w.cycle_string()} p={p}")
     subject = f"S{n} w={w.cycle_string()} p={p}"
-    uppers = list(_borel_elements(n, field, lower=False))
-    lowers = list(_borel_elements(n, field, lower=True))
     wdot = permutation_monomial(w, field)
-    upper_set = {
-        v for v in all_permutations(n) if bruhat_leq_perm(w, v)
-    }
-    total = len(uppers) * len(lowers) * len(uppers)
-    budget = sample_budget if sample_budget is not None else 200_000
-    exhaustive = total <= budget
-    attained = set()
-    violation = None
-    if exhaustive:
-        triples = (
-            (b, c, b2) for b in uppers for c in lowers for b2 in uppers
-        )
-    else:
-        rng = random.Random(seed)
-        triples = (
-            (rng.choice(uppers), rng.choice(lowers), rng.choice(uppers))
-            for _ in range(budget)
-        )
-    for b, c_low, b2 in triples:
-        v = bruhat_cell(b * wdot * c_low * b2)
-        attained.add(v)
-        if violation is None and v not in upper_set:
-            violation = v
+    attained = {bruhat_cell(wdot * c) for c in _borel_elements(n, field)}
+    upper_set = {v for v in all_permutations(n) if bruhat_leq_perm(w, v)}
+    bad = attained - upper_set
+    rep.add(
+        subject, "products-land-at-or-above", "SOUND", not bad, _first_cycle(bad)
+    )
+    missing = upper_set - attained
     rep.add(
         subject,
-        "products-land-at-or-above",
-        "SOUND",
-        violation is None,
-        None if violation is None else violation.cycle_string(),
+        "attains-whole-upper-set",
+        "COMPLETE",
+        not missing,
+        _first_cycle(missing),
     )
-    if exhaustive:
-        missing = upper_set - attained
-        rep.add(
-            subject,
-            "attains-whole-upper-set",
-            "COMPLETE",
-            not missing,
-            None if not missing else next(iter(missing)).cycle_string(),
-        )
-    else:
-        rep.notes.append(
-            f"sampled {budget} of {total} triples; completeness not asserted"
-        )
     return rep
 
 
-def _borel_elements(n: int, field: PrimeField, lower: bool):
-    """All upper (or lower) triangular matrices in SL(n, F_p)."""
+def _borel_elements(n: int, field: PrimeField):
+    """All lower triangular matrices in SL(n, F_p), i.e. the group B^-."""
     p = field.p
-    free = [(i, j) for i in range(n) for j in range(n) if (i > j if lower else i < j)]
-    diags = []
-
-    def rec_diag(k, acc, prod):
-        if k == n - 1:
-            diags.append(acc + [field.inverse[prod]])
-            return
-        for d in range(1, p):
-            rec_diag(k + 1, acc + [d], prod * d % p)
-
-    rec_diag(0, [], 1)
-    for diag in diags:
-        ent0 = [0] * (n * n)
-        for i in range(n):
-            ent0[i * n + i] = diag[i]
-
-        def rec_free(k, ent):
-            if k == len(free):
-                yield MatrixFq(field, n, ent)
-                return
-            i, j = free[k]
-            for v in range(p):
-                e2 = list(ent)
-                e2[i * n + j] = v
-                yield from rec_free(k + 1, e2)
-
-        yield from rec_free(0, ent0)
+    below = [i * n + j for i in range(n) for j in range(i)]
+    for head in product(range(1, p), repeat=n - 1):
+        diagonal = [0] * (n * n)
+        for i, d in enumerate((*head, field.inverse[prod(head) % p])):
+            diagonal[i * (n + 1)] = d
+        for values in product(range(p), repeat=len(below)):
+            ent = list(diagonal)
+            for k, v in zip(below, values):
+                ent[k] = v
+            yield MatrixFq(field, n, ent)
 
 
 def validate_class(

@@ -108,7 +108,7 @@ class TestVerify:
         ]
         assert main(["verify", "--type", "A9"]) == 0
         out = capsys.readouterr().out
-        assert "# skipped coxeter-bound: group too large for this check" in out
+        assert "# skipped coxeter-bound: rank 9 > 8: too many orderings" in out
 
     def test_refused_named_check_names_the_suite(self, capsys, monkeypatch):
         from bruhatcells import cli

@@ -37,7 +37,7 @@ from bruhatcells.coxeter import (
     longest_element,
     simple_reflection,
 )
-from bruhatcells import conjugacy
+from bruhatcells import clear_caches, conjugacy
 from bruhatcells.errors import GuardError
 from bruhatcells.permutations import weyl_to_permutation
 
@@ -455,6 +455,17 @@ class TestVerificationSuites:
     @pytest.mark.parametrize("name", ["A2", "A3", "B3"])
     def test_coxeter_bound(self, name):
         assert verify_coxeter_bound(name).passed
+
+    @pytest.mark.parametrize(
+        "suite", [verify_unique_max_classification, verify_coxeter_bound]
+    )
+    def test_rank_guard_refuses_before_classes_are_built(self, suite):
+        # classifying subsets and Coxeter elements stop at rank 8; A9 has to
+        # be refused before its involution classes are grown
+        clear_caches()
+        with pytest.raises(GuardError, match="rank 9 > 8"):
+            suite("A9")
+        assert "inv_classes" not in build_root_system("A9")._memo
 
     @pytest.mark.parametrize("name", ["A2", "A3", "B3", "G2"])
     def test_ascent_suite(self, name):

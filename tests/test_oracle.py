@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 import random
 
 import pytest
@@ -158,6 +159,38 @@ class TestBruhatDecomposition:
             assert sorted(i for i, _ in nonzero) == list(range(n))
             assert all(i == w(j + 1) - 1 for i, j in nonzero)
             assert bruhat_cell(g) == w
+
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_cells_are_borel_double_cosets(self, data):
+        # b1 * g * b2 lies in the cell of g for upper triangular b1, b2: the
+        # fact that lets the coset-product probe walk B^- alone
+        p = data.draw(st.sampled_from([2, 3, 5, 7]))
+        n = data.draw(st.integers(1, 4))
+        field = PrimeField(p)
+        entries = st.lists(st.integers(0, p - 1), min_size=n * n, max_size=n * n)
+        g = MatrixFq(field, n, data.draw(entries))
+        det = g.det()
+        assume(det != 0)
+        scaled = list(g.entries)
+        scaled[:n] = [x * field.inverse[det] % p for x in scaled[:n]]
+        g = MatrixFq(field, n, scaled)
+
+        def upper_det_one():
+            ent = data.draw(entries)
+            diag = data.draw(
+                st.lists(st.integers(1, p - 1), min_size=n - 1, max_size=n - 1)
+            )
+            diag.append(field.inverse[math.prod(diag) % p])
+            for i in range(n):
+                ent[i * n + i] = diag[i]
+                ent[i * n : i * n + i] = [0] * i
+            return MatrixFq(field, n, ent)
+
+        b1, b2 = upper_det_one(), upper_det_one()
+        assert g.det() == b1.det() == b2.det() == 1
+        assert b1.is_upper_triangular() and b2.is_upper_triangular()
+        assert bruhat_cell(b1 * g * b2) == bruhat_cell(g)
 
     def test_singular_rejected(self):
         f = PrimeField(3)
@@ -466,12 +499,15 @@ class TestCosetProducts:
         assert rep.passed
         assert any(r.check == "attains-whole-upper-set" for r in rep.results)
 
-    def test_sampling_mode(self):
-        rep = coset_product_report(
-            Permutation.parse("(1 2)", 3), 3, sample_budget=2000
-        )
-        assert rep.passed
-        assert any("sampled" in n for n in rep.notes)
+    def test_sl3_whole_upper_set_at_p3_and_p5(self):
+        for p in (3, 5):
+            for w in all_permutations(3):
+                rep = coset_product_report(w, p)
+                assert rep.passed and not rep.notes
+                assert [(r.kind, r.check) for r in rep.results] == [
+                    ("SOUND", "products-land-at-or-above"),
+                    ("COMPLETE", "attains-whole-upper-set"),
+                ]
 
     def test_guard(self):
         with pytest.raises(GuardError):
