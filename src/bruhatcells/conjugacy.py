@@ -87,8 +87,8 @@ def _order_guard(t: CartanType, allow_large: bool, limit: int = ENUMERATION_LIMI
     order = t.weyl_order
     if order > limit and not allow_large:
         raise GuardError(
-            f"|W({t})| = {order} exceeds {limit}; "
-            "functions that take allow_large lift this limit with allow_large=True"
+            f"|W({t})| = {order} exceeds {limit}; lift this limit with "
+            "allow_large=True (CLI: --checks NAME --allow-large)"
         )
 
 

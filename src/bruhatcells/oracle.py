@@ -13,6 +13,9 @@ so an orbit is walked one T-conjugacy class at a time and only a canonical
 representative of each class is eliminated: over DEFAULT_PAIRS that is
 10,927 representatives for 103,250 matrices, and the (3, 5) sweep walks
 6,226 classes instead of 97,000 matrices.
+
+Cells and determinants come from ``_pivot_pattern`` (row operations
+only); ``_eliminate`` also clears columns and serves ``bruhat_factor``.
 """
 
 from __future__ import annotations
@@ -170,14 +173,14 @@ class MatrixFq:
         return MatrixFq(self.field, n, out)
 
     def det(self) -> int:
-        """sign(sigma) times the pivots of the monomial matrix that
-        ``_eliminate`` leaves: its row and column operations are
-        unitriangular and keep the determinant.  0 when it is singular."""
+        """sign(sigma) times the pivots that ``_pivot_pattern`` leaves: its
+        row operations keep the determinant, and its pivot rows in sigma
+        order are upper triangular.  0 when it is singular."""
         if self._det is None:
             n, p = self.n, self.field.p
             m = list(self.entries)
             try:
-                sigma = _eliminate(m, n, self.field)
+                sigma = _pivot_pattern(m, n, p, self.field.inverse)
             except ValueError:
                 self._det = 0
                 return 0
@@ -262,16 +265,49 @@ def _eliminate(m, n, field, b1=None, b2=None):
     return tuple(sigma)
 
 
+def _pivot_pattern(m, n, p, inv):
+    """The sigma of ``_eliminate`` from its row operations on unclaimed rows
+    alone; m (a flat list) changes in place, ValueError if it is singular.
+    A column operation at column j changes only rows nonzero there: after
+    the row pass, the pivot row and claimed rows, never pivots again.  Each
+    pivot row stays as claimed, zero left of its pivot."""
+    free = list(range(0, n * n, n))  # unclaimed row offsets
+    sigma = [0] * n
+    for j in range(n):
+        pos = len(free) - 1
+        while not m[free[pos] + j]:
+            pos -= 1
+            if pos < 0:
+                raise ValueError("singular matrix")
+        pbase = free.pop(pos)
+        sigma[j] = pbase // n + 1
+        if pos:
+            pinv = inv[m[pbase + j]]
+            for base in free[:pos]:
+                a = m[base + j]
+                if a:
+                    f = a * pinv % p
+                    for k in range(j + 1, n):
+                        m[base + k] = (m[base + k] - f * m[pbase + k]) % p
+    return tuple(sigma)
+
+
 def _cell_pattern(entries, n, field):
-    """Pivot pattern of an invertible matrix, see ``_eliminate``."""
-    return _eliminate(list(entries), n, field)
+    """Pivot pattern of an invertible matrix, see ``_pivot_pattern``."""
+    return _pivot_pattern(list(entries), n, field.p, field.inverse)
+
+
+@lru_cache(maxsize=8)
+def _column_reversal(n: int):
+    """Flat indices that read an n x n matrix with its columns reversed."""
+    return tuple(i + n - 1 - j for i in range(0, n * n, n) for j in range(n))
 
 
 def _opposite_pattern(entries, n, field):
     """Pivot pattern of g*w0dot: w0dot reverses the columns of g up to a
     diagonal factor in B, which leaves the cell unchanged."""
-    rows = (entries[i : i + n] for i in range(0, n * n, n))
-    return _eliminate([v for row in rows for v in reversed(row)], n, field)
+    m = [entries[k] for k in _column_reversal(n)]
+    return _pivot_pattern(m, n, field.p, field.inverse)
 
 
 def bruhat_cell(g: MatrixFq) -> Permutation:
@@ -406,12 +442,12 @@ def _conjugation_ops(n: int, field: PrimeField):
 
 
 @lru_cache(maxsize=4096)
-def _support_forest(support: tuple, n: int):
-    """Spanning forest of the graph on 0..n-1 with an edge u-v where the
-    nonzero flags ``support`` (row by row) mark m_uv or m_vu, grown
-    depth-first from the least vertex of each component.  Returns the edges
-    as (index of m_uv, index of m_vu, u, v) with u already reached, and the
-    number of components."""
+def _support_plan(support: bytes, n: int):
+    """For nonzero flags ``support`` (bytes, row by row): a depth-first
+    spanning forest of the graph on 0..n-1 with an edge u-v where m_uv or
+    m_vu is nonzero, as edges (index of m_uv, index of m_vu, u, v) with u
+    reached first; the nonzero off-diagonal positions (index of m_uv, u, v);
+    and the number of components."""
     reached = [False] * n
     edges = []
     components = 0
@@ -428,7 +464,13 @@ def _support_forest(support: tuple, n: int):
                     reached[v] = True
                     edges.append((u * n + v, v * n + u, u, v))
                     stack.append(v)
-    return tuple(edges), components
+    positions = tuple(
+        (u * n + v, u, v)
+        for u in range(n)
+        for v in range(n)
+        if u != v and support[u * n + v]
+    )
+    return tuple(edges), positions, components
 
 
 def _torus_class(m, n: int, field: PrimeField):
@@ -439,45 +481,45 @@ def _torus_class(m, n: int, field: PrimeField):
     the off-diagonal support graph turns every forest entry into 1 (m_uv,
     or m_vu where m_uv = 0); this fixes t up to a constant on each
     component, which leaves the matrix alone.  The class therefore has
-    (p-1)^(n - components) members.
+    (p-1)^(n - components) members.  Only off-diagonal nonzeros change.
     """
     p = field.p
     if p == 2:
         return tuple(m), 1
-    edges, components = _support_forest(tuple(map(bool, m)), n)
+    edges, positions, components = _support_plan(bytes(map(bool, m)), n)
     inv = field.inverse
     t = [1] * n
     for uv, vu, u, v in edges:
         y = m[uv]
         t[v] = t[u] * y % p if y else t[u] * inv[m[vu]] % p
-    tinv = [inv[x] for x in t]
-    scale = [a * b for a in t for b in tinv]
-    return (
-        tuple([x * s % p for x, s in zip(m, scale)]),
-        (p - 1) ** (n - components),
-    )
+    out = list(m)
+    for k, u, v in positions:
+        out[k] = m[k] * t[u] * inv[t[v]] % p
+    return tuple(out), (p - 1) ** (n - components)
 
 
 def _torus_expand(rep, n: int, field: PrimeField):
     """Every member t rep t^-1 of the T-class of rep, each exactly once:
-    t is 1 at the root of each support component (see ``_support_forest``)
+    t is 1 at the root of each support component (see ``_support_plan``)
     and free elsewhere."""
     p, inv = field.p, field.inverse
-    edges, _ = _support_forest(tuple(map(bool, rep)), n)
+    edges, positions, _ = _support_plan(bytes(map(bool, rep)), n)
     free = [v for _, _, _, v in edges]
     for units in product(range(1, p), repeat=len(free)):
         t = [1] * n
         for v, x in zip(free, units):
             t[v] = x
-        scale = [a * inv[b] for a in t for b in t]
-        yield tuple([x * s % p for x, s in zip(rep, scale)])
+        out = list(rep)
+        for k, u, v in positions:
+            out[k] = rep[k] * t[u] * inv[t[v]] % p
+        yield tuple(out)
 
 
 def _orbit_guard(n: int, p: int, allow_large: bool):
     if sl_order(n, p) > ORBIT_LIMIT and not allow_large:
         raise GuardError(
             f"|SL({n}, F_{p})| = {sl_order(n, p)} exceeds {ORBIT_LIMIT}; "
-            "pass allow_large=True to force it"
+            "pass allow_large=True to force it (CLI: --allow-large)"
         )
 
 
@@ -601,10 +643,10 @@ def enumerate_sl(n: int, p: int, allow_large: bool = False):
 def cell_size_census(n: int, p: int, allow_large: bool = False) -> dict:
     """Cell sizes of the whole group: {w: |BwB|}.  The theory predicts
     |BwB| = |B| * p^length(w) and the sizes must sum to |SL(n, F_p)|."""
-    field = PrimeField(p)
+    inv = PrimeField(p).inverse
     counts: dict = {}
     for ent in enumerate_sl(n, p, allow_large):
-        s = _cell_pattern(ent, n, field)
+        s = _pivot_pattern(list(ent), n, p, inv)
         counts[s] = counts.get(s, 0) + 1
     return {Permutation(s): c for s, c in counts.items()}
 

@@ -110,6 +110,13 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "# skipped coxeter-bound: rank 9 > 8: too many orderings" in out
 
+    def test_skip_line_names_the_keyword_and_the_flag(self, capsys):
+        assert main(["verify", "--type", "E6"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        skip = [line for line in lines if line.startswith("# skipped ascent:")]
+        assert len(skip) == 1
+        assert "allow_large=True (CLI: --checks NAME --allow-large)" in skip[0]
+
     def test_refused_named_check_names_the_suite(self, capsys, monkeypatch):
         from bruhatcells import cli
 
@@ -290,6 +297,19 @@ class TestOracle:
             }
         )
         assert main(["oracle", "--jordan", path, "--q", "11"]) == 2
+
+    def test_guard_message_names_the_keyword_and_the_flag(self, jordan_file, capsys):
+        path = jordan_file(
+            {
+                "n_plus_1": 5,
+                "eigen_data": [{"label": "u", "blocks": [2, 1, 1, 1]}],
+                "values": {"u": 1},
+            }
+        )
+        assert main(["oracle", "--jordan", path, "--q", "11"]) == 2
+        assert "allow_large=True to force it (CLI: --allow-large)" in (
+            capsys.readouterr().err
+        )
 
 
 class TestViolationExitCode:

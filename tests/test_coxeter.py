@@ -99,7 +99,8 @@ class TestRootSystem:
         validate_class(transvection, 3, intersection_table(transvection, 3))
         caches = [
             sl_criteria._lower_set,
-            oracle._support_forest,
+            oracle._support_plan,
+            oracle._column_reversal,
             oracle._cycle_type_classes,
         ]
         assert held._memo and all(f.cache_info().currsize for f in caches)

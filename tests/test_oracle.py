@@ -31,6 +31,7 @@ from bruhatcells.oracle import (
 from bruhatcells.oracle import (
     DEFAULT_PAIRS,
     _cell_pattern,
+    _eliminate,
     _iter_orbit,
     _opposite_pattern,
     _torus_class,
@@ -242,6 +243,54 @@ class TestOppositeCells:
         assert _opposite_pattern(g.entries, n, field) == _cell_pattern(
             (g * longest_monomial(n, field)).entries, n, field
         )
+
+
+def _column_reversed(entries, n):
+    return [entries[i + n - 1 - j] for i in range(0, n * n, n) for j in range(n)]
+
+
+class TestPivotPatternMatchesFactoring:
+    """The row-operation kernel behind ``_cell_pattern``,
+    ``_opposite_pattern`` and ``det`` against the factoring path of
+    ``bruhat_factor``, which also runs the column operations, and against
+    the Leibniz formula."""
+
+    @pytest.mark.parametrize("n,p", [(3, 3), (2, 7), (4, 2)])
+    def test_patterns_on_the_whole_group(self, n, p):
+        # _eliminate without the b1, b2 bookkeeping: the sigma that
+        # bruhat_factor returns, at a third of its cost per matrix
+        field = PrimeField(p)
+        for ent in enumerate_sl(n, p):
+            assert _cell_pattern(ent, n, field) == _eliminate(list(ent), n, field)
+            flipped = _column_reversed(ent, n)
+            assert _opposite_pattern(ent, n, field) == _eliminate(flipped, n, field)
+
+    def test_det_matches_leibniz_on_all_of_m3_f3(self):
+        field = PrimeField(3)
+        terms = [
+            (-1 if w.inversions() % 2 else 1, [(w(j + 1) - 1) * 3 + j for j in range(3)])
+            for w in all_permutations(3)
+        ]  # sign(w) and the flat positions of the entries (w(j), j)
+        for ent in itertools.product(range(3), repeat=9):
+            expected = sum(s * math.prod(ent[k] for k in ks) for s, ks in terms) % 3
+            assert MatrixFq(field, 3, ent).det() == expected
+
+    @settings(max_examples=60)
+    @given(st.data())
+    def test_random_matrices(self, data):
+        # det against the Leibniz formula at the same sizes:
+        # TestMatrixFq.test_det_matches_leibniz_formula
+        p = data.draw(st.sampled_from([2, 3, 5, 7]))
+        n = data.draw(st.integers(1, 4))
+        field = PrimeField(p)
+        ent = data.draw(
+            st.lists(st.integers(0, p - 1), min_size=n * n, max_size=n * n)
+        )
+        g = MatrixFq(field, n, ent)
+        assume(g.det() != 0)
+        assert _cell_pattern(ent, n, field) == bruhat_factor(g)[3].images
+        flipped = MatrixFq(field, n, _column_reversed(ent, n))
+        assert _opposite_pattern(ent, n, field) == bruhat_factor(flipped)[3].images
 
 
 class TestCellCensus:
