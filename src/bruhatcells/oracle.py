@@ -220,9 +220,10 @@ class MatrixFq:
 
 
 def _eliminate(m, n, field, b1=None, b2=None):
-    """Reduce the invertible matrix m (a flat row-major list, in place) to a
-    monomial matrix by clearing above pivots with row operations and right
-    of pivots with column operations, both triangular.  Returns sigma with
+    """The factoring path, for ``bruhat_factor`` only: reduce the invertible
+    matrix m (a flat row-major list, in place) to a monomial matrix by
+    clearing above pivots with row operations and right of pivots with
+    column operations, both triangular.  Returns sigma with
     sigma[j] = pivot row of column j (1-based).  Given flat identity lists
     b1 and b2, also updates them so that the input equals b1 * m * b2."""
     p = field.p
@@ -475,7 +476,8 @@ def _support_plan(support: bytes, n: int):
 
 def _torus_class(m, n: int, field: PrimeField):
     """Canonical representative and size of the T-conjugacy class of the
-    flat matrix m, T the diagonal torus of GL(n, F_p).
+    flat matrix m, T the diagonal torus of GL(n, F_p); the orbit walk's
+    kernel, run on every matrix it reaches.
 
     (t m t^-1)_uv = t_u m_uv / t_v, so scaling along a spanning forest of
     the off-diagonal support graph turns every forest entry into 1 (m_uv,
