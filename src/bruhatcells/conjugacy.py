@@ -92,35 +92,27 @@ def _order_guard(t: CartanType, allow_large: bool, limit: int = ENUMERATION_LIMI
         )
 
 
-def _guard(
-    rs: RootSystem,
-    allow_large: bool,
-    limit: int = ENUMERATION_LIMIT,
-    enumerates: bool = False,
-):
-    """The order guard; then refuse an enumeration of the whole group that
-    cannot fit in physical memory in any case."""
-    order = rs.cartan_type.weyl_order
-    _order_guard(rs.cartan_type, allow_large, limit)
-    if enumerates:
-        per_element = (
-            ENUMERATION_BYTES_PER_ELEMENT + ENUMERATION_BYTES_PER_ROOT * len(rs.roots)
-        )
-        need = order * per_element / 2**20
-        have = _physical_mb()
-        if have is not None and need > have:
-            raise GuardError(
-                f"enumerating the {order} elements of W({rs.cartan_type}) "
-                f"needs about {need:,.0f} MB, more than the {have:,.0f} MB "
-                "of physical memory; refused even with allow_large"
-            )
-
-
 def enumerate_weyl_group(rs: RootSystem, allow_large: bool = False):
-    """All Weyl group elements, in breadth-first order by length (cached)."""
+    """All Weyl group elements, in breadth-first order by length (cached).
+
+    Past the order guard, it refuses a group whose estimated memory exceeds
+    the physical memory, even with allow_large.
+    """
+    t = rs.cartan_type
+    _order_guard(t, allow_large)
+    per_element = (
+        ENUMERATION_BYTES_PER_ELEMENT + ENUMERATION_BYTES_PER_ROOT * len(rs.roots)
+    )
+    need = t.weyl_order * per_element / 2**20
+    have = _physical_mb()
+    if have is not None and need > have:
+        raise GuardError(
+            f"enumerating the {t.weyl_order} elements of W({t}) "
+            f"needs about {need:,.0f} MB, more than the {have:,.0f} MB "
+            "of physical memory; refused even with allow_large"
+        )
     cached = rs._memo.get("all_elements")
     if cached is None:
-        _guard(rs, allow_large, enumerates=True)
         frontier = [rs.identity]
         seen = {rs.identity.perm}
         out = [rs.identity]
@@ -206,7 +198,7 @@ def _materialize(rs: RootSystem, perms):
 
 def conjugacy_class(w: WeylElement, allow_large: bool = False) -> ConjugacyClass:
     """Orbit of w under conjugation, grown by the simple-reflection generators."""
-    _guard(w.rs, allow_large)
+    _order_guard(w.rs.cartan_type, allow_large)
     return ConjugacyClass(w, *_materialize(w.rs, _orbit(w.rs, w)))
 
 
@@ -228,7 +220,7 @@ def twisted_class(w: WeylElement, delta, allow_large: bool = False) -> Conjugacy
     delta = tuple(delta)
     if not is_diagram_automorphism(rs, delta):
         raise ValueError(f"{delta} is not a diagram automorphism of {rs.cartan_type}")
-    _guard(rs, allow_large)
+    _order_guard(rs.cartan_type, allow_large)
     return ConjugacyClass(w, *_materialize(rs, _orbit(rs, w, delta)), delta)
 
 
@@ -258,6 +250,7 @@ def _subsets(n: int):
 
 def conjugacy_classes(rs: RootSystem, allow_large: bool = False):
     """All conjugacy classes of the Weyl group."""
+    _order_guard(rs.cartan_type, allow_large)
     cached = rs._memo.get("conj_classes")
     if cached is None:
         seeds = enumerate_weyl_group(rs, allow_large)
@@ -273,9 +266,9 @@ def involution_classes(rs: RootSystem, allow_large: bool = False):
     so the classes are those of the 2^rank seeds w0J, J a subset of the
     simple roots, and the group itself is never enumerated.
     """
+    _order_guard(rs.cartan_type, allow_large)
     cached = rs._memo.get("inv_classes")
     if cached is None:
-        _guard(rs, allow_large)
         seeds = (longest_element(rs, J) for J in _subsets(rs.rank))
         cached = rs._memo["inv_classes"] = _classes(rs, seeds)
     return cached
@@ -296,6 +289,7 @@ class MaximalSet:
 def _maximal_set(rs: RootSystem, unique: bool, allow_large: bool) -> MaximalSet:
     """The maximal-length elements of the involution classes, of those
     classes with a unique one when unique is set (memoised)."""
+    _order_guard(rs.cartan_type, allow_large)
     key = ("maximal_set", unique)
     cached = rs._memo.get(key)
     if cached is None:
@@ -376,7 +370,7 @@ def strongly_conjugate(w: WeylElement, w2: WeylElement) -> bool:
     rs = w.rs
     if rs is not w2.rs:
         raise ValueError("elements belong to different root systems")
-    _guard(rs, False, STRONG_CONJ_LIMIT)
+    _order_guard(rs.cartan_type, False, STRONG_CONJ_LIMIT)
     if w.length != w2.length:
         return False
     return w2.perm in _strong_component(rs, w.perm, w2.perm)
@@ -658,21 +652,55 @@ def verify_unique_max_classification(t, allow_large: bool = False) -> Report:
     return rep
 
 
+def _stable_subset_classes(rs: RootSystem) -> dict:
+    """Label each -w0-stable subset J of the simple roots by its class: J
+    and K share a label when some x with w0 * x * w0 = x maps the simple
+    roots of J onto those of K.
+
+    The classes are closed from elementary steps (Howlett, J. London Math.
+    Soc. 21, 1980; Deodhar, Comm. Algebra 10, 1982; Steinberg, Mem. AMS 80,
+    §11, for the twist by -w0).  For J stable, O an orbit of the -w0
+    symmetry outside J and L = J | O, the element w0L * w0J commutes with
+    w0 and maps J onto K = -w0L(J).  A union-find joins each such J and K,
+    over at most 2^rank subsets; the group is never enumerated.
+    """
+    delta = delta0_permutation(rs)
+    stable = [J for J in _subsets(rs.rank) if {delta[i - 1] for i in J} == J]
+    simple = rs.simple_index
+    simple_of = {k: i + 1 for i, k in enumerate(simple)}
+    negate = 2 * rs.npos - 1  # the index of -root is negate - the index of root
+    parent = {J: J for J in stable}
+
+    def find(J):
+        while parent[J] != J:
+            J = parent[J]
+        return J
+
+    for J in stable:
+        for i in range(1, rs.rank + 1):
+            if i not in J:
+                w0L = longest_element(rs, J | {i, delta[i - 1]}).perm
+                K = frozenset(simple_of[negate - w0L[simple[j - 1]]] for j in J)
+                parent[find(K)] = find(J)
+    return {J: find(J) for J in stable}
+
+
 def verify_subset_conjugacy(t, allow_large: bool = False) -> Report:
     """For subsets J, K with Property (1): the attached involutions are
-    conjugate exactly when some -w0-symmetric element maps J onto K.
+    conjugate exactly when some -w0-symmetric element, one with
+    w0 * x * w0 = x, maps J onto K.
 
-    Conjugacy is read off ``involution_classes``.  The symmetric elements,
-    those with w0 * x * w0 = x, form the centralizer C_W(w0) and come from
-    ``_conjugator_cosets``, so the group is not enumerated.  It refuses Weyl
-    groups with more than STRONG_CONJ_LIMIT elements unless allow_large is
-    set.  When w0 = -1 the centralizer is the whole group, and its size is
-    guarded like an enumeration.
+    Conjugacy is read off ``involution_classes`` and the mappings off the
+    closure of ``_stable_subset_classes``, two independent computations.
+    Known limit: on every type tried (A1-A8, B2-B6, C2-C5, D4-D8, E6-E8,
+    F4, G2) the closure agrees with the untwisted one (steps over single
+    simple roots, any x in W) on the Property-(1) subsets, so a fault that
+    dropped the symmetry condition would not show here.
     """
-    rs = _suite_system(t, allow_large, STRONG_CONJ_LIMIT)
-    w0_central = delta0_permutation(rs) == tuple(range(1, rs.rank + 1))
-    _guard(rs, allow_large, STRONG_CONJ_LIMIT, enumerates=w0_central)
+    rs = _suite_system(t, allow_large)
     rep = Report(f"subset conjugacy {rs.cartan_type}")
+    # the rank guard of subsets_with_property_one refuses before any class
+    # is built
     subsets = sorted(subsets_with_property_one(rs), key=sorted)
     class_of = {
         w.perm: k
@@ -680,15 +708,12 @@ def verify_subset_conjugacy(t, allow_large: bool = False) -> Report:
         for w in c.elements
     }
     class_of_subset = {J: class_of[subset_involution(rs, J).perm] for J in subsets}
-    symmetric = _conjugator_cosets(rs, rs.w0.perm)[1]
-    simple = rs.simple_index
+    label = _stable_subset_classes(rs)
     subject = str(rs.cartan_type)
     for J in subsets:
-        roots_J = [simple[i - 1] for i in sorted(J)]
-        images_J = {frozenset(p[k] for k in roots_J) for p in symmetric}
         for K in subsets:
             conj = class_of_subset[K] == class_of_subset[J]
-            mapped = frozenset(simple[i - 1] for i in K) in images_J
+            mapped = label[K] == label[J]
             rep.add(
                 subject,
                 f"conjugacy-matches-mapping {_fmt_subset(J)}->{_fmt_subset(K)}",

@@ -68,7 +68,7 @@ class TestVerify:
         assert "no checks named" in err
 
     def test_guarded_check_requires_override(self, capsys):
-        assert main(["verify", "--type", "E6", "--checks", "conjugate-j"]) == 2
+        assert main(["verify", "--type", "E6", "--checks", "ascent"]) == 2
 
     def test_override_reaches_guarded_check(self, capsys):
         args = ["verify", "--type", "A7", "--checks", "conjugate-j", "--allow-large"]
@@ -87,12 +87,26 @@ class TestVerify:
         assert re.search(r"about [\d,]+ MB", err)
         assert "all_elements" not in build_root_system("E8")._memo
 
-    def test_e8_centralizer_refused_by_memory_guard(self, capsys):
-        # w0 = -1 in E8, so C_W(w0) is the whole group
+    def test_e8_subset_conjugacy_under_override(self, capsys):
+        # the mappings come from a closure over subsets, so W(E8) is never
+        # enumerated: 4,096 pairs (J, K) in about 4 s and 115 MB
         args = ["verify", "--type", "E8", "--checks", "conjugate-j", "--allow-large"]
-        assert main(args) == 2
-        assert "696729600 elements" in capsys.readouterr().err
-        assert "inv_classes" not in build_root_system("E8")._memo
+        assert main(args) == 0
+        out = capsys.readouterr().out
+        assert "subset conjugacy E8" in out and "result: pass" in out
+        assert "all_elements" not in build_root_system("E8")._memo
+
+    def test_e7_runs_every_suite_but_ascent(self, capsys):
+        assert main(["verify", "--type", "E7", "--format", "json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert [r["name"] for r in data["reports"]] == [
+            "unique-max classification E7",
+            "twisted minimum E7",
+            "subset conjugacy E7",
+            "coxeter bound E7",
+        ]
+        assert data["skipped"] == ["ascent"]
+        assert data["passed"]
 
     def test_all_runs_every_suite_its_own_guard_admits(self, capsys):
         # A9 is within the enumeration limit, but classifying subsets and

@@ -1,8 +1,13 @@
+from functools import lru_cache
+
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from bruhatcells.conjugacy import (
     _classes,
     _conjugator_cosets,
+    _stable_subset_classes,
     ascent_reachable,
     ascent_step,
     catalog_subsets,
@@ -255,6 +260,26 @@ class TestInvolutionClasses:
             involution_classes(build_root_system("E8"))
 
 
+@pytest.mark.parametrize(
+    "function,key",
+    [
+        (enumerate_weyl_group, "all_elements"),
+        (conjugacy_classes, "conj_classes"),
+        (involution_classes, "inv_classes"),
+        (unique_max_involutions, ("maximal_set", True)),
+        (max_length_involutions, ("maximal_set", False)),
+    ],
+)
+def test_guard_verdict_does_not_depend_on_the_memo(function, key):
+    rs = RootSystem(CartanType("E", 8))
+    with pytest.raises(GuardError, match="696729600"):
+        function(rs)
+    # a warm memo, as a run with allow_large=True leaves it
+    rs._memo[key] = ()
+    with pytest.raises(GuardError, match="696729600"):
+        function(rs)
+
+
 class TestMaximalSets:
     def test_a3_members(self):
         rs = build_root_system("A3")
@@ -418,10 +443,11 @@ class TestVerificationSuites:
         assert verify_subset_conjugacy(name).passed
 
     def test_subset_conjugacy_guard_and_override(self):
-        # |W(A7)| = 40320 is above STRONG_CONJ_LIMIT
+        # |W(E8)| = 696729600 is above ENUMERATION_LIMIT, the limit of
+        # involution_classes
         with pytest.raises(GuardError):
-            verify_subset_conjugacy("A7")
-        assert verify_subset_conjugacy("A7", allow_large=True).passed
+            verify_subset_conjugacy("E8")
+        assert verify_subset_conjugacy("E8", allow_large=True).passed
 
     @pytest.mark.parametrize(
         "name,proper",
@@ -429,8 +455,9 @@ class TestVerificationSuites:
          ("B3", False), ("D4", False)],
     )
     def test_symmetric_elements_are_the_centralizer_of_w0(self, name, proper):
-        # the -w0-symmetric elements, w0*x*w0 = x, that the subset-conjugacy
-        # suite maps J with; a proper subgroup exactly when w0 is not -1
+        # the -w0-symmetric elements, w0*x*w0 = x, that the reference of
+        # TestStableSubsetClasses maps J with; a proper subgroup exactly
+        # when w0 is not -1
         rs = RootSystem(CartanType.from_string(name))
         w0, mul = rs.w0.perm, rs._mul
         group = {w.perm for w in enumerate_weyl_group(rs)}
@@ -457,11 +484,16 @@ class TestVerificationSuites:
         assert verify_coxeter_bound(name).passed
 
     @pytest.mark.parametrize(
-        "suite", [verify_unique_max_classification, verify_coxeter_bound]
+        "suite",
+        [
+            verify_unique_max_classification,
+            verify_coxeter_bound,
+            verify_subset_conjugacy,
+        ],
     )
     def test_rank_guard_refuses_before_classes_are_built(self, suite):
-        # classifying subsets and Coxeter elements stop at rank 8; A9 has to
-        # be refused before its involution classes are grown
+        # subsets of the simple roots and Coxeter elements stop at rank 8; A9
+        # has to be refused before its involution classes are grown
         clear_caches()
         with pytest.raises(GuardError, match="rank 9 > 8"):
             suite("A9")
@@ -488,3 +520,82 @@ class TestVerificationSuites:
         assert d["passed"] and d["results"]
         assert all(r["kind"] == "EXACT" for r in d["results"])
         assert "result: pass" in rep.to_text()
+
+
+# the types with |W| <= 10^4, where the reference below is cheap
+SMALL_TYPES = ["A1", "A2", "A3", "A4", "A5", "A6", "B2", "B3", "B4", "B5",
+               "C2", "C3", "C4", "C5", "D4", "D5", "F4", "G2"]
+
+
+def _orbits(rs):
+    """The orbits of the -w0 symmetry on the simple roots."""
+    delta = delta0_permutation(rs)
+    return sorted(
+        {frozenset((i, delta[i - 1])) for i in range(1, rs.rank + 1)}, key=min
+    )
+
+
+@st.composite
+def stable_subsets(draw, rs):
+    orbits = _orbits(rs)
+    picks = draw(st.lists(st.booleans(), min_size=len(orbits), max_size=len(orbits)))
+    return frozenset().union(*(O for O, pick in zip(orbits, picks) if pick))
+
+
+@lru_cache(maxsize=None)
+def _symmetric_images(name):
+    """J -> the sets of root indices that the -w0-symmetric elements, taken
+    as the centralizer C_W(w0), map the simple roots of J onto."""
+    rs = build_root_system(name)
+    symmetric = _conjugator_cosets(rs, rs.w0.perm)[1]
+    simple = rs.simple_index
+    return {
+        J: {frozenset(p[simple[j - 1]] for j in J) for p in symmetric}
+        for J in _stable_subset_classes(rs)
+    }
+
+
+class TestStableSubsetClasses:
+    @given(st.data())
+    def test_elementary_step(self, data):
+        # x = w0L * w0J commutes with w0 and maps J onto a stable K, which
+        # the closure and the centralizer reference both join to J
+        name = data.draw(st.sampled_from(SMALL_TYPES))
+        rs = build_root_system(name)
+        J = data.draw(stable_subsets(rs))
+        outside = [O for O in _orbits(rs) if not O <= J]
+        assume(outside)
+        O = data.draw(st.sampled_from(outside))
+        x = longest_element(rs, J | O) * longest_element(rs, J)
+        assert rs.w0 * x * rs.w0 == x
+        images = {x(rs.simple_roots[j - 1]) for j in J}
+        assert images <= set(rs.simple_roots)
+        K = frozenset(i + 1 for i, a in enumerate(rs.simple_roots) if a in images)
+        delta = delta0_permutation(rs)
+        assert {delta[k - 1] for k in K} == K
+        label = _stable_subset_classes(rs)
+        assert label[J] == label[K]
+        roots_K = frozenset(rs.simple_index[k - 1] for k in K)
+        assert roots_K in _symmetric_images(name)[J]
+
+    @pytest.mark.parametrize("name", SMALL_TYPES)
+    def test_closure_matches_centralizer_reference_on_every_pair(self, name):
+        rs = build_root_system(name)
+        label = _stable_subset_classes(rs)
+        images = _symmetric_images(name)
+        for J in label:
+            for K in label:
+                roots_K = frozenset(rs.simple_index[k - 1] for k in K)
+                assert (label[J] == label[K]) == (roots_K in images[J])
+
+    @pytest.mark.parametrize(
+        "name,subsets,classes", [("E6", 16, 12), ("E7", 128, 32), ("E8", 256, 41)]
+    )
+    def test_class_counts(self, name, subsets, classes):
+        # E7 and E8 have w0 = -1, so every subset is stable and the classes
+        # are those of the parabolic subgroups: 41 for W(E8)
+        rs = RootSystem(CartanType.from_string(name))
+        label = _stable_subset_classes(rs)
+        assert len(label) == subsets
+        assert len(set(label.values())) == classes
+        assert "all_elements" not in rs._memo and "inv_classes" not in rs._memo

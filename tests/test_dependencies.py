@@ -1,0 +1,47 @@
+"""The library has no runtime dependencies: importing it and its CLI loads
+only the standard library, and ``pyproject.toml`` declares none."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import bruhatcells
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = Path(bruhatcells.__file__).resolve().parents[1]
+
+PROBE = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+before = set(sys.modules)
+import bruhatcells, bruhatcells.cli
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_imports_load_only_the_standard_library():
+    out = subprocess.run(
+        [sys.executable, "-c", PROBE, str(SRC)],
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    loaded = json.loads(out)
+    assert "bruhatcells.cli" in loaded
+    foreign = [
+        name
+        for name in loaded
+        if name.split(".")[0] not in sys.stdlib_module_names
+        and name.split(".")[0] != "bruhatcells"
+    ]
+    assert not foreign
+
+
+def test_pyproject_declares_no_dependencies():
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    assert project["dependencies"] == []

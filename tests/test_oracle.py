@@ -563,8 +563,16 @@ class TestCosetProducts:
                 ]
 
     def test_guard(self):
-        with pytest.raises(GuardError):
-            coset_product_report(Permutation.identity(4), 2)
+        # |B^-| = 4^3 * 5^6 = 1,000,000 in SL(4, F_5)
+        with pytest.raises(GuardError, match=r"\|B\^-\| = 1000000 .* exceeds 15000"):
+            coset_product_report(Permutation.identity(4), 5)
+
+    def test_sl4_over_f3(self):
+        # |B^-| = 2^3 * 3^6 = 5,832: the largest field the guard admits at n = 4
+        for w in (Permutation.identity(4), Permutation.longest(4)):
+            rep = coset_product_report(w, 3)
+            assert rep.passed
+            assert [r.kind for r in rep.results] == ["SOUND", "COMPLETE"]
 
 
 class TestValidateClass:
