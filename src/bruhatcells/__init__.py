@@ -15,21 +15,17 @@ from .coxeter import (
     bruhat_leq,
     build_root_system,
     coxeter_elements,
-    delta0_on_element,
     delta0_on_root,
     delta0_permutation,
     element_to_word_str,
     longest_element,
     reduced_word,
     simple_reflection,
-    word_str_to_element,
     word_to_element,
 )
 from .conjugacy import (
     ConjugacyClass,
     MaximalSet,
-    ascent_reachable,
-    ascent_step,
     catalog_subsets,
     classifying_subsets,
     conjugacy_class,
@@ -37,11 +33,8 @@ from .conjugacy import (
     enumerate_weyl_group,
     fixed_simple_roots,
     involution_classes,
-    max_length_involutions,
     property_one,
     property_two,
-    strong_conj_step,
-    strongly_conjugate,
     subset_involution,
     subsets_with_property_one,
     twisted_class,
@@ -57,10 +50,7 @@ from .partitions import (
     Partition,
     cycle_type,
     dominance_leq,
-    dual,
-    hook_bound_matches_dominance,
     partitions_of,
-    two_one_shape,
 )
 from .permutations import (
     Permutation,
@@ -101,11 +91,9 @@ from .oracle import (
     coset_product_report,
     enumerate_sl,
     field_classes,
-    geometric_orbit,
     gl_order,
     intersection_table,
     jordan_matrix,
-    longest_monomial,
     opposite_bruhat_cell,
     sl_order,
     validate_class,

@@ -59,10 +59,6 @@ def _fail_usage(msg: str) -> int:
     return USAGE_ERROR
 
 
-def _parse_type(s: str) -> CartanType:
-    return CartanType.from_string(s)
-
-
 def _load_jordan(path: str) -> JordanClass:
     with open(path, "r", encoding="utf-8") as fh:
         return JordanClass.from_json_dict(json.load(fh))
@@ -70,7 +66,7 @@ def _load_jordan(path: str) -> JordanClass:
 
 def cmd_catalog(args) -> int:
     try:
-        t = _parse_type(args.type)
+        t = CartanType.from_string(args.type)
     except ValueError as exc:
         return _fail_usage(str(exc))
     rs = build_root_system(t)
@@ -98,7 +94,7 @@ def cmd_catalog(args) -> int:
 
 def cmd_verify(args) -> int:
     try:
-        t = _parse_type(args.type)
+        t = CartanType.from_string(args.type)
     except ValueError as exc:
         return _fail_usage(str(exc))
     named = args.checks != "all"
@@ -223,8 +219,11 @@ def cmd_hasse(args) -> int:
     lines.append("}")
     text = "\n".join(lines)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            return _fail_usage(str(exc))
     else:
         print(text)
     return 0
@@ -234,9 +233,7 @@ def cmd_oracle(args) -> int:
     try:
         c = _load_jordan(args.jordan)
         table = intersection_table(c, args.q, allow_large=args.allow_large)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        return _fail_usage(str(exc))
-    except GuardError as exc:
+    except (OSError, ValueError, KeyError, json.JSONDecodeError, GuardError) as exc:
         return _fail_usage(str(exc))
     report = validate_class(c, args.q, table)
     fatal_kinds = {

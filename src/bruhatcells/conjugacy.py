@@ -41,11 +41,6 @@ __all__ = [
     "conjugacy_classes",
     "involution_classes",
     "unique_max_involutions",
-    "max_length_involutions",
-    "ascent_step",
-    "ascent_reachable",
-    "strong_conj_step",
-    "strongly_conjugate",
     "property_one",
     "property_two",
     "subsets_with_property_one",
@@ -276,7 +271,7 @@ def involution_classes(rs: RootSystem, allow_large: bool = False):
 
 @dataclass(frozen=True)
 class MaximalSet:
-    """Involutions of maximal length in their class, with their fixed subsets."""
+    """The unique maximal-length involutions, with their fixed subsets."""
 
     cartan_type: CartanType
     members: frozenset[WeylElement]
@@ -286,94 +281,26 @@ class MaximalSet:
         return len(self.members)
 
 
-def _maximal_set(rs: RootSystem, unique: bool, allow_large: bool) -> MaximalSet:
-    """The maximal-length elements of the involution classes, of those
-    classes with a unique one when unique is set (memoised)."""
-    _order_guard(rs.cartan_type, allow_large)
-    key = ("maximal_set", unique)
-    cached = rs._memo.get(key)
-    if cached is None:
-        fixed = {}
-        for c in involution_classes(rs, allow_large):
-            if unique and not c.is_unique_max:
-                continue
-            for m in c.max_length:
-                fixed[m] = fixed_simple_roots(m)
-        cached = rs._memo[key] = MaximalSet(rs.cartan_type, frozenset(fixed), fixed)
-    return cached
-
-
 def unique_max_involutions(rs: RootSystem, allow_large: bool = False) -> MaximalSet:
-    """Elements that are the unique maximal-length member of their class.
+    """Elements that are the unique maximal-length member of their class
+    (memoised).
 
     Scanning the involution classes is exact: a class containing a unique
     longest element is inverse-closed, forcing that element to be an
     involution.
     """
-    return _maximal_set(rs, True, allow_large)
-
-
-def max_length_involutions(rs: RootSystem, allow_large: bool = False) -> MaximalSet:
-    """Involutions of maximal (not necessarily unique) length in their class."""
-    return _maximal_set(rs, False, allow_large)
-
-
-def ascent_step(w: WeylElement, i: int) -> WeylElement | None:
-    """s_i * w * s_i when that does not decrease length, else None."""
-    rs = w.rs
-    if not 1 <= i <= rs.rank:
-        raise ValueError(f"simple root index {i} out of range 1..{rs.rank}")
-    v = WeylElement(rs, rs._conj(w.perm, i - 1, i - 1))
-    return v if v.length >= w.length else None
-
-
-def ascent_reachable(w: WeylElement, target: WeylElement) -> bool:
-    """Whether some chain of non-decreasing conjugation steps leads w to target."""
-    if w.rs is not target.rs:
-        raise ValueError("elements belong to different root systems")
-    seen = {w.perm}
-    frontier = [w]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            if u.perm == target.perm:
-                return True
-            for i in range(1, u.rs.rank + 1):
-                v = ascent_step(u, i)
-                if v is not None and v.perm not in seen:
-                    seen.add(v.perm)
-                    nxt.append(v)
-        frontier = nxt
-    return target.perm in seen
-
-
-def strong_conj_step(w: WeylElement, w2: WeylElement, x: WeylElement) -> bool:
-    """One length-preserving conjugation w2 = x*w*x^-1 where one of the two
-    products x*w or w*x^-1 is length-additive with x."""
-    if w.length != w2.length:
-        return False
-    xinv = x.inv()
-    xw = x * w
-    if (xw * xinv) != w2:
-        return False
-    lw2, lx = w2.length, x.length
-    return lw2 == xw.length + lx or lw2 == lx + (w * xinv).length
-
-
-def strongly_conjugate(w: WeylElement, w2: WeylElement) -> bool:
-    """Reflexive-transitive closure of strong conjugation steps (small groups).
-
-    The search stays inside w's class: the conjugators taking one member to
-    another form a coset of the centralizer (``_conjugator_cosets``).  It
-    refuses Weyl groups with more than STRONG_CONJ_LIMIT elements.
-    """
-    rs = w.rs
-    if rs is not w2.rs:
-        raise ValueError("elements belong to different root systems")
-    _order_guard(rs.cartan_type, False, STRONG_CONJ_LIMIT)
-    if w.length != w2.length:
-        return False
-    return w2.perm in _strong_component(rs, w.perm, w2.perm)
+    _order_guard(rs.cartan_type, allow_large)
+    cached = rs._memo.get("unique_max")
+    if cached is None:
+        fixed = {
+            c.max_length[0]: fixed_simple_roots(c.max_length[0])
+            for c in involution_classes(rs, allow_large)
+            if c.is_unique_max
+        }
+        cached = rs._memo["unique_max"] = MaximalSet(
+            rs.cartan_type, frozenset(fixed), fixed
+        )
+    return cached
 
 
 def _conjugator_cosets(rs: RootSystem, u0):
@@ -443,9 +370,9 @@ def _strongly_linked(rs: RootSystem, t, centralizer, u, v) -> bool:
     return False
 
 
-def _strong_component(rs: RootSystem, u0, goal=None) -> set:
+def _strong_component(rs: RootSystem, u0) -> set:
     """The perms that strong-conjugation chains link to u0, by a search over
-    the members of u0's class with u0's length; it stops once goal is found.
+    the members of u0's class with u0's length.
 
     The relation is symmetric: when x is a strong step from u to v, x^-1 is
     one from v to u, with the two length conditions swapped.  So each pair
@@ -456,7 +383,7 @@ def _strong_component(rs: RootSystem, u0, goal=None) -> set:
     unseen = [v for v in t if v != u0 and rs._length(v) == lu]
     reached = {u0}
     todo = [u0]
-    while todo and unseen and goal not in reached:
+    while todo and unseen:
         u = todo.pop()
         rest = []
         for v in unseen:

@@ -40,12 +40,10 @@ __all__ = [
     "longest_element",
     "bruhat_leq",
     "delta0_on_root",
-    "delta0_on_element",
     "delta0_permutation",
     "reduced_word",
     "word_to_element",
     "element_to_word_str",
-    "word_str_to_element",
     "coxeter_elements",
     "ENUMERATION_LIMIT",
 ]
@@ -482,12 +480,6 @@ def delta0_on_root(rs: RootSystem, root):
     return tuple(-v for v in rs.w0(root))
 
 
-def delta0_on_element(w: WeylElement) -> WeylElement:
-    """The automorphism w |-> w0 * w * w0."""
-    w0 = w.rs.w0
-    return w0 * w * w0
-
-
 def delta0_permutation(rs: RootSystem) -> tuple[int, ...]:
     """delta0 restricted to simple roots, as a tuple p with p[i-1] = image of i."""
     if "delta0_perm" not in rs._memo:
@@ -527,13 +519,6 @@ def element_to_word_str(w: WeylElement) -> str:
     """Serialize as a space-separated reduced word; the identity is 'e'."""
     word = reduced_word(w)
     return " ".join(map(str, word)) if word else "e"
-
-
-def word_str_to_element(rs: RootSystem, s: str) -> WeylElement:
-    s = s.strip()
-    if s in ("", "e"):
-        return rs.identity
-    return word_to_element(rs, [int(tok) for tok in s.split()])
 
 
 def coxeter_elements(rs: RootSystem) -> frozenset[WeylElement]:

@@ -54,10 +54,8 @@ __all__ = [
     "bruhat_cell",
     "opposite_bruhat_cell",
     "bruhat_factor",
-    "longest_monomial",
     "permutation_monomial",
     "jordan_matrix",
-    "geometric_orbit",
     "intersection_table",
     "coset_product_report",
     "validate_class",
@@ -110,17 +108,6 @@ class PrimeField:
     def __repr__(self):
         return f"PrimeField({self.p})"
 
-    def primitive_root(self) -> int:
-        for g in range(2, self.p):
-            seen = set()
-            x = 1
-            for _ in range(self.p - 1):
-                x = x * g % self.p
-                seen.add(x)
-            if len(seen) == self.p - 1:
-                return g
-        return 1  # p == 2
-
 
 class MatrixFq:
     """An n x n matrix over F_p; entries are a flat row-major tuple in 0..p-1."""
@@ -153,10 +140,6 @@ class MatrixFq:
 
     def __hash__(self):
         return hash((self.field.p, self.entries))
-
-    def key(self) -> bytes:
-        """Canonical fixed-width byte encoding (entries fit one byte each)."""
-        return bytes(self.entries)
 
     def __repr__(self):
         rows = [
@@ -195,32 +178,6 @@ class MatrixFq:
                 det = -det % p
             self._det = det
         return self._det
-
-    def inverse(self) -> "MatrixFq":
-        n, p = self.n, self.field.p
-        m = [
-            list(self.entries[i * n : (i + 1) * n])
-            + [1 if k == i else 0 for k in range(n)]
-            for i in range(n)
-        ]
-        for j in range(n):
-            piv = next((i for i in range(j, n) if m[i][j]), None)
-            if piv is None:
-                raise ValueError("singular matrix")
-            m[j], m[piv] = m[piv], m[j]
-            inv = self.field.inverse[m[j][j]]
-            m[j] = [v * inv % p for v in m[j]]
-            for i in range(n):
-                if i != j and m[i][j]:
-                    f = m[i][j]
-                    m[i] = [(a - f * b) % p for a, b in zip(m[i], m[j])]
-        return MatrixFq(self.field, n, [m[i][n + k] for i in range(n) for k in range(n)])
-
-    def is_upper_triangular(self) -> bool:
-        n = self.n
-        return all(
-            self.entries[i * n + j] == 0 for i in range(n) for j in range(i)
-        )
 
 
 def _eliminate(m, n, field, b1=None, b2=None):
@@ -334,15 +291,6 @@ def bruhat_factor(g: MatrixFq):
         MatrixFq(g.field, n, b2),
         Permutation(sigma),
     )
-
-
-def longest_monomial(n: int, field: PrimeField) -> MatrixFq:
-    """The fixed antidiagonal representative of the longest element:
-    entry (-1)^i at position (i, n-1-i), which always has determinant one."""
-    ent = [0] * (n * n)
-    for i in range(n):
-        ent[i * n + (n - 1 - i)] = (-1) ** i % field.p
-    return MatrixFq(field, n, ent)
 
 
 def permutation_monomial(w: Permutation, field: PrimeField) -> MatrixFq:
@@ -504,23 +452,6 @@ def _torus_class(m, n: int, field: PrimeField):
     return tuple(out), (p - 1) ** (n - components)
 
 
-def _torus_expand(rep, n: int, field: PrimeField):
-    """Every member t rep t^-1 of the T-class of rep, each exactly once:
-    t is 1 at the root of each support component (see ``_support_plan``)
-    and free elsewhere."""
-    p, inv = field.p, field.inverse
-    edges, positions, _ = _support_plan(bytes(map(bool, rep)), n)
-    free = [v for _, _, _, v in edges]
-    for units in product(range(1, p), repeat=len(free)):
-        t = [1] * n
-        for v, x in zip(free, units):
-            t[v] = x
-        out = list(rep)
-        for k, u, v in positions:
-            out[k] = rep[k] * t[u] * inv[t[v]] % p
-        yield tuple(out)
-
-
 def _orbit_guard(n: int, p: int, allow_large: bool):
     if sl_order(n, p) > ORBIT_LIMIT and not allow_large:
         raise GuardError(
@@ -533,7 +464,12 @@ def _iter_orbit(start: MatrixFq, allow_large: bool = False):
     """Depth-first walk of the GL(n)-conjugation orbit of start, one
     T-conjugacy class at a time: yields (canonical entries, class size)
     per class, see ``_torus_class``.  Over F_5 the orbit of a regular
-    semisimple class of SL(3) has 23,250 matrices in 1,506 T-classes."""
+    semisimple class of SL(3) has 23,250 matrices in 1,506 T-classes.
+
+    GL-orbits, not SL-orbits: over the algebraic closure a class is pinned
+    down by its Jordan data, and SL(F_p)-orbits may split into pieces that
+    would wrongly shrink the intersection sets.
+    """
     n, field = start.n, start.field
     _orbit_guard(n, field.p, allow_large)
     ops = _conjugation_ops(n, field)
@@ -550,24 +486,6 @@ def _iter_orbit(start: MatrixFq, allow_large: bool = False):
             if cls[0] not in seen:
                 seen.add(cls[0])
                 queue.append(cls)
-
-
-def geometric_orbit(c: JordanClass, p: int, allow_large: bool = False):
-    """The full GL(n, F_p)-conjugation orbit of the Jordan representative,
-    sorted by entries: every T-class of ``_iter_orbit`` expanded by T.
-
-    GL-orbits, not SL-orbits: over the algebraic closure a class is pinned
-    down by its Jordan data, and SL(F_p)-orbits may split into pieces that
-    would wrongly shrink the intersection sets.
-    """
-    start = jordan_matrix(c, p)
-    n, field = start.n, start.field
-    members = sorted(
-        ent
-        for rep, _ in _iter_orbit(start, allow_large)
-        for ent in _torus_expand(rep, n, field)
-    )
-    return tuple(MatrixFq(field, n, ent) for ent in members)
 
 
 @dataclass(frozen=True)
@@ -591,8 +509,8 @@ class IntersectionTable:
 def intersection_table(
     c: JordanClass, p: int, allow_large: bool = False
 ) -> IntersectionTable:
-    """Decompose one member of every T-class of the orbit in both cell
-    systems and tabulate.  Both cell systems are invariant under
+    """Decompose one member of every T-class of the GL(n)-orbit (see
+    ``_iter_orbit``) in both cell systems and tabulate.  Both cell systems are invariant under
     T-conjugation (t in B on the left, t^-1 in B and in B^- on the right),
     so the representatives meet the same cells as the whole orbit."""
     start = jordan_matrix(c, p)
@@ -660,8 +578,7 @@ def cell_size_census(n: int, p: int, allow_large: bool = False) -> dict:
 def field_classes(n: int, p: int):
     """All Jordan classes of SL(n) with eigenvalues in F_p and determinant
     one; labels are 'x<value>' with the concrete value attached."""
-    if not _is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    PrimeField(p)  # rejects p not prime or above _MAX_PRIME
     out = []
 
     def rec(min_value, remaining, chosen):

@@ -1,11 +1,13 @@
-"""Integer partitions with the dominance order, duals and cycle types.
+"""Integer partitions with the dominance order and cycle types.
 
->>> dual(Partition((3, 1)))
-Partition((2, 1, 1))
+>>> Partition.parse("2,2,1")
+Partition((2, 2, 1))
 >>> dominance_leq(Partition((1, 1, 1)), Partition((2, 1)))
 True
->>> two_one_shape(5, 2)
-Partition((2, 2, 1))
+>>> dominance_leq(Partition((2, 2, 1)), Partition((3, 1, 1)))
+True
+>>> str(cycle_type(Permutation.parse("(1 4)(2 3)", 5)))
+'2,2,1'
 """
 
 from __future__ import annotations
@@ -14,10 +16,7 @@ from .permutations import Permutation
 
 __all__ = [
     "Partition",
-    "dual",
     "dominance_leq",
-    "two_one_shape",
-    "hook_bound_matches_dominance",
     "cycle_type",
     "partitions_of",
 ]
@@ -70,19 +69,6 @@ class Partition:
         return cls(int(t) for t in s.split(",") if t.strip())
 
 
-def dual(lam: Partition) -> Partition:
-    """Transpose of the shape: dual(lam)_k = #{j : lam_j >= k}.
-
-    >>> dual(Partition((1, 1, 1, 1)))
-    Partition((4,))
-    """
-    if not len(lam):
-        return Partition(())
-    return Partition(
-        sum(1 for p in lam if p >= k) for k in range(1, lam.parts[0] + 1)
-    )
-
-
 def dominance_leq(lam: Partition, mu: Partition) -> bool:
     """Partial-sum comparison of two partitions of the same weight.
 
@@ -98,24 +84,6 @@ def dominance_leq(lam: Partition, mu: Partition) -> bool:
         if a > b:
             return False
     return True
-
-
-def two_one_shape(p: int, l: int) -> Partition:
-    """The partition (2^l, 1^(p-2l)) of p."""
-    if not 0 <= 2 * l <= p:
-        raise ValueError(f"need 0 <= l <= p/2, got p={p}, l={l}")
-    return Partition((2,) * l + (1,) * (p - 2 * l))
-
-
-def hook_bound_matches_dominance(p: int, l: int, mu: Partition) -> bool:
-    """Dominance of (2^l, 1^(p-2l)) below mu; equals len(mu) <= p - l.
-
-    Returns the dominance comparison; the length characterization is the
-    independent description that the tests pin it against.
-    """
-    if mu.weight != p:
-        raise ValueError(f"mu has weight {mu.weight}, expected {p}")
-    return dominance_leq(two_one_shape(p, l), mu)
 
 
 def cycle_type(w: Permutation) -> Partition:

@@ -120,9 +120,6 @@ class Permutation:
             return "e"
         return "".join("(" + " ".join(map(str, c)) + ")" for c in cycles)
 
-    def one_line_string(self) -> str:
-        return " ".join(map(str, self.images))
-
     @classmethod
     def identity(cls, n: int) -> "Permutation":
         return cls(range(1, n + 1))

@@ -13,7 +13,6 @@ obtained by summing block sizes across eigenvalues.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -152,10 +151,6 @@ class JordanClass:
             [(e["label"], tuple(e["blocks"])) for e in d["eigen_data"]],
             d.get("values"),
         )
-
-    @classmethod
-    def from_json(cls, text: str) -> "JordanClass":
-        return cls.from_json_dict(json.loads(text))
 
 
 def abstract_jordan_classes(n_plus_1: int):

@@ -28,13 +28,7 @@ from bruhatcells.oracle import (
     sl_order,
     validate_class,
 )
-from bruhatcells.partitions import (
-    cycle_type,
-    dominance_leq,
-    dual,
-    hook_bound_matches_dominance,
-    partitions_of,
-)
+from bruhatcells.partitions import Partition, cycle_type, dominance_leq, partitions_of
 from bruhatcells.permutations import involutions
 from bruhatcells.sl_criteria import abstract_jordan_classes, involution_cell_meets, weyl_class_inside
 
@@ -112,8 +106,23 @@ def test_criterion_4_involution_rule_consistency():
         announce(f"involution-rule consistency SL({m})", bad == 0, f"{bad} mismatches")
 
 
+def dual(lam):
+    """Transpose of the shape: dual(lam)_k = #{j : lam_j >= k}."""
+    if not len(lam):
+        return Partition(())
+    return Partition(sum(1 for p in lam if p >= k) for k in range(1, lam[0] + 1))
+
+
+def two_one_shape(p, l):
+    """The partition (2^l, 1^(p-2l)) of p."""
+    if not 0 <= 2 * l <= p:
+        raise ValueError(f"need 0 <= l <= p/2, got p={p}, l={l}")
+    return Partition((2,) * l + (1,) * (p - 2 * l))
+
+
 def test_criterion_5_partition_suite():
-    """Dominance/dual duality and the hook-shape bound, weights <= 10."""
+    """Dominance/dual duality and the hook-shape bound, weights <= 10: the
+    shape (2^l, 1^(p-2l)) is dominated by mu exactly when len(mu) <= p - l."""
     bad = 0
     for p in range(1, 11):
         lams = list(partitions_of(p))
@@ -126,7 +135,7 @@ def test_criterion_5_partition_suite():
     for p in range(1, 11):
         for l in range(p // 2 + 1):
             for mu in partitions_of(p):
-                if hook_bound_matches_dominance(p, l, mu) != (len(mu) <= p - l):
+                if dominance_leq(two_one_shape(p, l), mu) != (len(mu) <= p - l):
                     bad += 1
     announce("hook-bound agreement p<=10", bad == 0, f"{bad} mismatches")
 

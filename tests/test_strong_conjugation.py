@@ -10,10 +10,10 @@ import pytest
 
 from bruhatcells.conjugacy import (
     _conjugator_cosets,
+    _strong_component,
     _strongly_linked,
     conjugacy_classes,
     enumerate_weyl_group,
-    strongly_conjugate,
 )
 from bruhatcells.coxeter import build_root_system
 
@@ -98,11 +98,12 @@ def test_strongly_conjugate_matches_whole_group_search(name):
     for c in conjugacy_classes(rs):
         members = sorted(c.elements, key=lambda w: (w.length, w.rows))
         for w in members:
+            component = _strong_component(rs, w.perm)
             for w2 in members:
                 if w.length != w2.length:
                     continue
                 want = _reference_strongly_conjugate(w, w2, group, inverses)
-                assert strongly_conjugate(w, w2) == want, (name, w, w2)
+                assert (w2.perm in component) == want, (name, w, w2)
                 checked += 1
                 linked += want
     # in A3 and B3 both answers occur, so the comparison is not vacuous
