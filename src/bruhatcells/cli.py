@@ -54,6 +54,19 @@ _VERIFY_CHECKS = {
 }
 
 
+# CPU seconds of `catalog` are about k * rank^5, fitted per family: building
+# the root system reflects every root in every generator, and each printed
+# involution is a reduced word.  Measured (2 vCPUs, Python 3.11): A40 1.2 s,
+# A53 4.0 s, A60 6.7 s; B38 5.3 s, C38 5.5 s, D38 4.0 s, B40 8.5 s.  E, F
+# and G have bounded rank (E8 takes 0.01 s).
+_CATALOG_COST = {"A": 1.1e-8, "B": 6.2e-8, "C": 6.2e-8, "D": 6.2e-8}
+_CATALOG_LIMIT_S = 5.0
+
+
+def _catalog_cost_s(t: CartanType) -> float:
+    return _CATALOG_COST.get(t.family, 0.0) * t.rank**5
+
+
 def _fail_usage(msg: str) -> int:
     print(f"error: {msg}", file=sys.stderr)
     return USAGE_ERROR
@@ -69,6 +82,13 @@ def cmd_catalog(args) -> int:
         t = CartanType.from_string(args.type)
     except ValueError as exc:
         return _fail_usage(str(exc))
+    cost = _catalog_cost_s(t)
+    if cost > _CATALOG_LIMIT_S:
+        return _fail_usage(
+            f"catalog for {t} would take about {cost:,.0f} s of CPU time "
+            f"(estimated as {_CATALOG_COST[t.family]:g} * rank^5 s), above the "
+            f"{_CATALOG_LIMIT_S:g} s limit"
+        )
     rs = build_root_system(t)
     subsets = sorted(catalog_subsets(t), key=lambda J: (len(J), sorted(J)))
     members = []

@@ -12,7 +12,11 @@ Both cell systems are invariant under conjugation by the diagonal torus T,
 so an orbit is walked one T-conjugacy class at a time and only a canonical
 representative of each class is eliminated: over DEFAULT_PAIRS that is
 10,927 representatives for 103,250 matrices, and the (3, 5) sweep walks
-6,226 classes instead of 97,000 matrices.
+6,226 classes instead of 97,000 matrices.  BwB is invariant under
+conjugation by all of B, so a class the walk first reaches over a
+transvection in B keeps its parent's cell: 4,572 representatives are
+eliminated for BwB over DEFAULT_PAIRS (1,547 at (3, 5)), and all of them
+for BwB^-.
 
 Cells and determinants come from ``_pivot_pattern`` (row operations
 only); ``_eliminate`` also clears columns and serves ``bruhat_factor``.
@@ -23,7 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from math import prod
+from math import isqrt, prod
+from operator import itemgetter
 
 from .errors import GuardError
 from .partitions import cycle_type, partitions_of
@@ -83,22 +88,11 @@ _MAX_PRIME = 31
 _COSET_PRODUCT_LIMIT = 15_000
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
-
-
 class PrimeField:
     """Arithmetic mod a prime p <= 31, with a cached inverse table."""
 
     def __init__(self, p: int):
-        if not _is_prime(p):
+        if p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
             raise ValueError(f"{p} is not prime")
         if p > _MAX_PRIME:
             raise ValueError(f"p = {p} exceeds the supported bound {_MAX_PRIME}")
@@ -361,46 +355,38 @@ def jordan_matrix(c: JordanClass, p: int) -> MatrixFq:
     return MatrixFq(field, n, ent)
 
 
-def _conjugation_ops(n: int, field: PrimeField):
-    """In-place conjugation callbacks for I + c*e_12 (every c in F_p^*) and
-    the n-1 adjacent transposition matrices.  Conjugating this set by the
-    diagonal torus T gives it back up to factors in T, and with T it
-    generates GL(n), so closing T-class representatives under it reaches
-    every T-class of a GL(n)-orbit."""
-    p = field.p
-    ops = []
+@lru_cache(maxsize=8)
+def _swap_conjugations(n: int):
+    """Conjugation by each adjacent transposition matrix s_i as one
+    ``itemgetter``: s_i m s_i only permutes the flat entries.  With
+    I + c*e_12 (c in F_p^*) and the diagonal torus T they generate GL(n),
+    and T-conjugation maps these generators into themselves times T, so
+    closing T-class representatives under them reaches every T-class of a
+    GL(n)-orbit."""
+    swaps = []
+    for i in range(n - 1):
+        s = list(range(n))
+        s[i], s[i + 1] = i + 1, i
+        swaps.append(itemgetter(*(a * n + b for a in s for b in s)))
+    return tuple(swaps)
 
-    def make_transvection(c):
-        def conj(m):
-            for k in range(n):  # row_0 += c * row_1
-                m[k] = (m[k] + c * m[n + k]) % p
-            for b in range(0, n * n, n):  # col_1 -= c * col_0
-                m[b + 1] = (m[b + 1] - c * m[b]) % p
 
-        return conj
-
-    def make_swap(i):
-        def conj(m):
-            a, b = i * n, (i + 1) * n
-            m[a : a + n], m[b : b + n] = m[b : b + n], m[a : a + n]
-            for r in range(0, n * n, n):
-                m[r + i], m[r + i + 1] = m[r + i + 1], m[r + i]
-
-        return conj
-
-    if n > 1:
-        ops.extend(make_transvection(c) for c in range(1, p))
-    ops.extend(make_swap(i) for i in range(n - 1))
-    return ops
+@lru_cache(maxsize=8)
+def _off_diagonal(n: int):
+    """Reads the off-diagonal entries of a flat n x n matrix, n >= 2."""
+    return itemgetter(*(k for k in range(n * n) if k % (n + 1)))
 
 
 @lru_cache(maxsize=4096)
 def _support_plan(support: bytes, n: int):
-    """For nonzero flags ``support`` (bytes, row by row): a depth-first
-    spanning forest of the graph on 0..n-1 with an edge u-v where m_uv or
-    m_vu is nonzero, as edges (index of m_uv, index of m_vu, u, v) with u
-    reached first; the nonzero off-diagonal positions (index of m_uv, u, v);
-    and the number of components."""
+    """For the nonzero flags ``support`` of the off-diagonal entries, row by
+    row: a depth-first spanning forest of the graph on 0..n-1 with an edge
+    u-v where m_uv or m_vu is nonzero, as edges (index of m_uv, index of
+    m_vu, u, v) with u reached first; the nonzero off-diagonal positions
+    (index of m_uv, u, v); and the number of components.  The diagonal is
+    left out of the key, so at n <= 4 all 2^(n^2 - n) plans fit."""
+    flags = iter(support)
+    support = [u != v and next(flags) for u in range(n) for v in range(n)]
     reached = [False] * n
     edges = []
     components = 0
@@ -417,19 +403,17 @@ def _support_plan(support: bytes, n: int):
                     reached[v] = True
                     edges.append((u * n + v, v * n + u, u, v))
                     stack.append(v)
-    positions = tuple(
-        (u * n + v, u, v)
-        for u in range(n)
-        for v in range(n)
-        if u != v and support[u * n + v]
-    )
+    positions = tuple((k, k // n, k % n) for k in range(n * n) if support[k])
     return tuple(edges), positions, components
+
+
+_NONZERO = bytes([0]) + bytes([1]) * 255  # translate table
 
 
 def _torus_class(m, n: int, field: PrimeField):
     """Canonical representative and size of the T-conjugacy class of the
-    flat matrix m, T the diagonal torus of GL(n, F_p); the orbit walk's
-    kernel, run on every matrix it reaches.
+    flat matrix m, which is left unchanged, T the diagonal torus of
+    GL(n, F_p); the orbit walk's kernel, run on every matrix it reaches.
 
     (t m t^-1)_uv = t_u m_uv / t_v, so scaling along a spanning forest of
     the off-diagonal support graph turns every forest entry into 1 (m_uv,
@@ -438,9 +422,10 @@ def _torus_class(m, n: int, field: PrimeField):
     (p-1)^(n - components) members.  Only off-diagonal nonzeros change.
     """
     p = field.p
-    if p == 2:
+    if p == 2 or n == 1:
         return tuple(m), 1
-    edges, positions, components = _support_plan(bytes(map(bool, m)), n)
+    support = bytes(_off_diagonal(n)(m)).translate(_NONZERO)
+    edges, positions, components = _support_plan(support, n)
     inv = field.inverse
     t = [1] * n
     for uv, vu, u, v in edges:
@@ -462,30 +447,49 @@ def _orbit_guard(n: int, p: int, allow_large: bool):
 
 def _iter_orbit(start: MatrixFq, allow_large: bool = False):
     """Depth-first walk of the GL(n)-conjugation orbit of start, one
-    T-conjugacy class at a time: yields (canonical entries, class size)
-    per class, see ``_torus_class``.  Over F_5 the orbit of a regular
-    semisimple class of SL(3) has 23,250 matrices in 1,506 T-classes.
+    T-conjugacy class at a time: yields (canonical entries, class size,
+    BwB cell pattern) per class, see ``_torus_class``.  Over F_5 the orbit
+    of a regular semisimple class of SL(3) has 23,250 matrices in 1,506
+    T-classes.
+
+    Each class is conjugated by I + c*e_12 for every c in F_p^*, in place
+    on a fresh list, and by each swap of ``_swap_conjugations``.  Those
+    transvections lie in B, as T does, so a class first reached from its
+    parent over one lies in the parent's cell BwB; only a class first
+    reached over a swap is eliminated for it: 383 of those 1,506.
 
     GL-orbits, not SL-orbits: over the algebraic closure a class is pinned
     down by its Jordan data, and SL(F_p)-orbits may split into pieces that
     would wrongly shrink the intersection sets.
     """
     n, field = start.n, start.field
-    _orbit_guard(n, field.p, allow_large)
-    ops = _conjugation_ops(n, field)
-    first = _torus_class(start.entries, n, field)
-    seen = {first[0]}
-    queue = [first]
+    p, inv = field.p, field.inverse
+    _orbit_guard(n, p, allow_large)
+    units = range(1, p) if n > 1 else ()
+    row, rows = range(n), range(0, n * n, n)
+    swaps = _swap_conjugations(n)
+    rep, size = _torus_class(start.entries, n, field)
+    seen = {rep}
+    queue = [(rep, size, _pivot_pattern(list(rep), n, p, inv))]
     while queue:
         item = queue.pop()
         yield item
-        for op in ops:
-            m = list(item[0])
-            op(m)
+        rep, _, cell = item
+        for c in units:
+            m = list(rep)
+            for k in row:  # row_0 += c * row_1
+                m[k] = (m[k] + c * m[n + k]) % p
+            for b in rows:  # col_1 -= c * col_0
+                m[b + 1] = (m[b + 1] - c * m[b]) % p
             cls = _torus_class(m, n, field)
             if cls[0] not in seen:
                 seen.add(cls[0])
-                queue.append(cls)
+                queue.append((*cls, cell))
+        for swap in swaps:
+            cls = _torus_class(swap(rep), n, field)
+            if cls[0] not in seen:
+                seen.add(cls[0])
+                queue.append((*cls, _pivot_pattern(list(cls[0]), n, p, inv)))
 
 
 @dataclass(frozen=True)
@@ -509,19 +513,20 @@ class IntersectionTable:
 def intersection_table(
     c: JordanClass, p: int, allow_large: bool = False
 ) -> IntersectionTable:
-    """Decompose one member of every T-class of the GL(n)-orbit (see
-    ``_iter_orbit``) in both cell systems and tabulate.  Both cell systems are invariant under
-    T-conjugation (t in B on the left, t^-1 in B and in B^- on the right),
-    so the representatives meet the same cells as the whole orbit."""
+    """Tabulate the cells BwB that ``_iter_orbit`` yields for every T-class
+    of the GL(n)-orbit, and decompose each representative in BwB^-.  Both
+    cell systems are invariant under T-conjugation (t in B on the left,
+    t^-1 in B and in B^- on the right), so the representatives meet the
+    same cells as the whole orbit."""
     start = jordan_matrix(c, p)
     n, field = start.n, start.field
     w0 = Permutation.longest(n)
     cells = set()
     opposite = set()
     size = 0
-    for ent, members in _iter_orbit(start, allow_large):
+    for ent, members, cell in _iter_orbit(start, allow_large):
         size += members
-        cells.add(_cell_pattern(ent, n, field))
+        cells.add(cell)
         opposite.add(_opposite_pattern(ent, n, field))
     cell_perms = frozenset(Permutation(s) for s in cells)
     opp_perms = frozenset(Permutation(s) * w0 for s in opposite)

@@ -3,8 +3,13 @@ import re
 
 import pytest
 
-from bruhatcells.cli import main
-from bruhatcells.coxeter import RootSystem, build_root_system, bruhat_leq
+from bruhatcells.cli import _CATALOG_LIMIT_S, _catalog_cost_s, main
+from bruhatcells.coxeter import (
+    CartanType,
+    RootSystem,
+    build_root_system,
+    bruhat_leq,
+)
 from bruhatcells.permutations import permutation_to_weyl
 from bruhatcells.sl_criteria import abstract_jordan_classes, bruhat_lower_set
 
@@ -45,6 +50,21 @@ class TestCatalog:
 
     def test_bad_type_is_usage_error(self, capsys):
         assert main(["catalog", "--type", "H3"]) == 2
+
+    @pytest.mark.parametrize("t", ["A150", "A80", "B40", "D39"])
+    def test_large_rank_is_refused_with_its_cost(self, capsys, t):
+        assert main(["catalog", "--type", t]) == 2
+        err = capsys.readouterr().err
+        assert re.search(r"about [\d,]+ s of CPU time .* above the 5 s limit", err)
+
+    def test_rank_limits(self):
+        # the largest ranks admitted: A53 and B38 take 4.0 and 5.3 s
+        def admitted(family, rank):
+            return _catalog_cost_s(CartanType(family, rank)) <= _CATALOG_LIMIT_S
+
+        for family, largest in (("A", 53), ("B", 38), ("C", 38), ("D", 38)):
+            assert admitted(family, largest) and not admitted(family, largest + 1)
+        assert admitted("E", 8)
 
 
 class TestVerify:

@@ -98,6 +98,8 @@ class TestRootSystem:
         caches = [
             sl_criteria._lower_set,
             oracle._support_plan,
+            oracle._off_diagonal,
+            oracle._swap_conjugations,
             oracle._column_reversal,
             oracle._cycle_type_classes,
         ]

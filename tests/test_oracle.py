@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from bruhatcells import oracle
 from bruhatcells.errors import GuardError
 from bruhatcells.oracle import (
     MatrixFq,
@@ -32,6 +33,7 @@ from bruhatcells.oracle import (
     _eliminate,
     _iter_orbit,
     _opposite_pattern,
+    _pivot_pattern,
     _support_plan,
     _torus_class,
 )
@@ -361,7 +363,8 @@ def _torus_expand(rep, n, field):
     t is 1 at the root of each support component (see ``_support_plan``)
     and free elsewhere."""
     p, inv = field.p, field.inverse
-    edges, positions, _ = _support_plan(bytes(map(bool, rep)), n)
+    support = bytes(bool(rep[k]) for k in range(n * n) if k % (n + 1))
+    edges, positions, _ = _support_plan(support, n)
     free = [v for _, _, _, v in edges]
     for units in itertools.product(range(1, p), repeat=len(free)):
         t = [1] * n
@@ -379,7 +382,9 @@ def geometric_orbit(c, p):
     start = jordan_matrix(c, p)
     n, field = start.n, start.field
     members = sorted(
-        ent for rep, _ in _iter_orbit(start) for ent in _torus_expand(rep, n, field)
+        ent
+        for rep, _, _ in _iter_orbit(start)
+        for ent in _torus_expand(rep, n, field)
     )
     return tuple(MatrixFq(field, n, ent) for ent in members)
 
@@ -460,7 +465,7 @@ class TestIntersectionTables:
         for other in sorted(orbit, key=lambda m: m.entries)[::7]:
             regrown = {
                 MatrixFq(other.field, 2, ent)
-                for rep, _ in _iter_orbit(other)
+                for rep, _, _ in _iter_orbit(other)
                 for ent in _torus_expand(rep, 2, other.field)
             }
             assert regrown == orbit
@@ -555,7 +560,9 @@ class TestTorusClassWalk:
         field = PrimeField(p)
         m = data.draw(st.lists(st.integers(0, p - 1), min_size=n * n, max_size=n * n))
         t = data.draw(st.lists(st.integers(1, p - 1), min_size=n, max_size=n))
+        before = list(m)
         rep, size = _torus_class(m, n, field)
+        assert m == before
         # T-invariant
         assert _torus_class(_torus_conjugate(m, t, field), n, field) == (rep, size)
         # T-conjugate to its input (scalars act trivially, so t_0 = 1)
@@ -573,8 +580,43 @@ class TestTorusClassWalk:
             3, [("a", (1,)), ("b", (1,)), ("c", (1,))], {"a": 1, "b": 2, "c": 3}
         )
         classes = list(_iter_orbit(jordan_matrix(c, 5)))
-        assert sum(size for _, size in classes) == gl_order(3, 5) // 4**3
-        assert len(classes) == len({rep for rep, _ in classes}) == 1506
+        assert sum(size for _, size, _ in classes) == gl_order(3, 5) // 4**3
+        assert len(classes) == len({rep for rep, _, _ in classes}) == 1506
+        field = PrimeField(5)
+        assert all(cell == _cell_pattern(rep, 3, field) for rep, _, cell in classes)
+
+    def test_walk_inherits_cells_over_borel_edges(self, monkeypatch):
+        # Only the classes first reached over a swap edge are eliminated for
+        # BwB: 383 of the 1,506, where every class was before.
+        calls = []
+
+        def counting(m, n, p, inv):
+            calls.append(tuple(m))
+            return _pivot_pattern(m, n, p, inv)
+
+        monkeypatch.setattr(oracle, "_pivot_pattern", counting)
+        c = JordanClass(
+            3, [("a", (1,)), ("b", (1,)), ("c", (1,))], {"a": 1, "b": 2, "c": 3}
+        )
+        assert len(list(_iter_orbit(jordan_matrix(c, 5)))) == 1506
+        assert len(calls) == len(set(calls)) == 383
+
+    @settings(max_examples=200)
+    @given(st.data())
+    def test_borel_transvection_keeps_the_cell(self, data):
+        # I + c*e_12 lies in B, so conjugating by it maps BwB onto itself
+        p = data.draw(st.sampled_from([3, 5, 7]))
+        n = data.draw(st.integers(2, 4))
+        field = PrimeField(p)
+        ent = data.draw(st.lists(st.integers(0, p - 1), min_size=n * n, max_size=n * n))
+        m = MatrixFq(field, n, ent)
+        assume(m.det() != 0)
+        c = data.draw(st.integers(1, p - 1))
+        g = list(MatrixFq.identity(field, n).entries)
+        g_inv = list(g)
+        g[1], g_inv[1] = c, p - c
+        conj = MatrixFq(field, n, g) * m * MatrixFq(field, n, g_inv)
+        assert _cell_pattern(conj.entries, n, field) == _cell_pattern(ent, n, field)
 
 
 def _torus_conjugate(m, t, field):
