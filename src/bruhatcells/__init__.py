@@ -89,7 +89,6 @@ from .oracle import (
     bruhat_factor,
     cell_size_census,
     coset_product_report,
-    enumerate_sl,
     field_classes,
     gl_order,
     intersection_table,

@@ -18,6 +18,11 @@ transvection in B keeps its parent's cell: 4,572 representatives are
 eliminated for BwB over DEFAULT_PAIRS (1,547 at (3, 5)), and all of them
 for BwB^-.
 
+Left multiplication by T keeps every cell as well, so the whole-group
+checks count over torus cosets: ``cell_size_census`` eliminates one
+matrix per left T-coset, and ``coset_product_report`` walks U^- in place
+of B^- = T U^-.
+
 Cells and determinants come from ``_pivot_pattern`` (row operations
 only); ``_eliminate`` also clears columns and serves ``bruhat_factor``.
 """
@@ -27,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from math import isqrt, prod
+from math import isqrt
 from operator import itemgetter
 
 from .errors import GuardError
@@ -59,13 +64,11 @@ __all__ = [
     "bruhat_cell",
     "opposite_bruhat_cell",
     "bruhat_factor",
-    "permutation_monomial",
     "jordan_matrix",
     "intersection_table",
     "coset_product_report",
     "validate_class",
     "field_classes",
-    "enumerate_sl",
     "cell_size_census",
     "gl_order",
     "sl_order",
@@ -82,9 +85,9 @@ COMPLETE_PAIRS = ((2, 5), (2, 7), (3, 5))
 
 ORBIT_LIMIT = 10**7
 _MAX_PRIME = 31
-# The coset-product probe walks all of B^-, so it is limited by |B^-|:
-# (3, 7), with |B^-| = 12,348, takes 0.25-0.31 s of CPU per w, and (4, 3),
-# with 5,832, 0.21 s (2 vCPUs, Python 3.11).
+# The coset-product probe is limited by |B^-| and walks U^-, (p-1)^(n-1)
+# times smaller: (3, 7), |B^-| = 12,348, takes 0.001 s of CPU per w, and
+# (4, 3), 5,832, 0.004 s (2 vCPUs, Python 3.11).
 _COSET_PRODUCT_LIMIT = 15_000
 
 
@@ -285,19 +288,6 @@ def bruhat_factor(g: MatrixFq):
         MatrixFq(g.field, n, b2),
         Permutation(sigma),
     )
-
-
-def permutation_monomial(w: Permutation, field: PrimeField) -> MatrixFq:
-    """A determinant-one monomial matrix with the pattern of w."""
-    n = w.degree
-    ent = [0] * (n * n)
-    for j in range(1, n + 1):
-        ent[(w(j) - 1) * n + (j - 1)] = 1
-    m = MatrixFq(field, n, ent)
-    if m.det() != 1:
-        ent[(w(1) - 1) * n] = field.p - 1
-        m = MatrixFq(field, n, ent)
-    return m
 
 
 def opposite_bruhat_cell(g: MatrixFq) -> Permutation:
@@ -545,38 +535,29 @@ def intersection_table(
     )
 
 
-def enumerate_sl(n: int, p: int, allow_large: bool = False):
-    """All of SL(n, F_p) as entry tuples, by BFS over transvection generators."""
-    field = PrimeField(p)
-    _orbit_guard(n, p, allow_large)
-    ident = MatrixFq.identity(field, n).entries
-    seen = {ident}
-    queue = [ident]
-    while queue:
-        ent = queue.pop()
-        yield ent
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    continue
-                m = list(ent)
-                for r in range(n):  # right-multiply by I + e_{ij}: col_j += col_i
-                    b = r * n
-                    m[b + j] = (m[b + j] + m[b + i]) % p
-                t = tuple(m)
-                if t not in seen:
-                    seen.add(t)
-                    queue.append(t)
-
-
 def cell_size_census(n: int, p: int, allow_large: bool = False) -> dict:
     """Cell sizes of the whole group: {w: |BwB|}.  The theory predicts
-    |BwB| = |B| * p^length(w) and the sizes must sum to |SL(n, F_p)|."""
+    |BwB| = |B| * p^length(w) and the sizes must sum to |SL(n, F_p)|.
+
+    Left multiplication by the diagonal torus T of GL(n) keeps every cell,
+    so each left T-coset is counted once, by its matrix whose rows each
+    have 1 as first nonzero entry, and weighted by the (p-1)^(n-1) members
+    it has in SL."""
     inv = PrimeField(p).inverse
+    _orbit_guard(n, p, allow_large)
+    rows = [
+        (0,) * k + (1,) + rest
+        for k in range(n)
+        for rest in product(range(p), repeat=n - 1 - k)
+    ]
+    weight = (p - 1) ** (n - 1)
     counts: dict = {}
-    for ent in enumerate_sl(n, p, allow_large):
-        s = _pivot_pattern(list(ent), n, p, inv)
-        counts[s] = counts.get(s, 0) + 1
+    for choice in product(rows, repeat=n):
+        try:
+            s = _pivot_pattern([x for row in choice for x in row], n, p, inv)
+        except ValueError:  # singular
+            continue
+        counts[s] = counts.get(s, 0) + weight
     return {Permutation(s): c for s, c in counts.items()}
 
 
@@ -613,22 +594,36 @@ def coset_product_report(w: Permutation, p: int) -> Report:
     """Probe the identity BwB^- B = union of the cells Bw'B with w' >= w.
 
     Cells are B-double cosets, so b * wdot * c * b' lies in the cell of
-    wdot * c for b, b' in B, and one pass over c in B^- reaches every cell
-    the products reach.  Each must lie at or above w (SOUND), and together
-    they must be exactly the upper set of w (COMPLETE).
+    wdot * c for b, b' in B.  B^- = T U^-, with U^- lower unitriangular,
+    and wdot * t = (wdot t wdot^-1) * wdot with wdot t wdot^-1 in T, inside
+    B, so one pass over u in U^- reaches every cell the products reach.
+    wdot * u is u with row j moved to row w(j), up to a sign that is a
+    diagonal factor in B.  Each cell must lie at or above w (SOUND), and
+    together they must be exactly the upper set of w (COMPLETE).
     """
     n = w.degree
     order = borel_order(n, p)
     if order > _COSET_PRODUCT_LIMIT:
         raise GuardError(
-            f"|B^-| = {order} in SL({n}, F_{p}) exceeds {_COSET_PRODUCT_LIMIT}: "
-            "the coset product probe walks all of B^-"
+            f"|B^-| = {order} in SL({n}, F_{p}) exceeds {_COSET_PRODUCT_LIMIT}, "
+            "the coset product probe's size limit"
         )
-    field = PrimeField(p)
+    inv = PrimeField(p).inverse
     rep = Report(f"coset product w={w.cycle_string()} p={p}")
     subject = f"S{n} w={w.cycle_string()} p={p}"
-    wdot = permutation_monomial(w, field)
-    attained = {bruhat_cell(wdot * c) for c in _borel_elements(n, field)}
+    # wdot * u without its sign: row j of u, with u_jj = 1, moves to row w(j)
+    offsets = [(w(j + 1) - 1) * n for j in range(n)]
+    start = [0] * (n * n)
+    for j, b in enumerate(offsets):
+        start[b + j] = 1
+    below = [b + k for j, b in enumerate(offsets) for k in range(j)]
+    patterns = set()
+    for values in product(range(p), repeat=len(below)):
+        m = list(start)
+        for k, v in zip(below, values):
+            m[k] = v
+        patterns.add(_pivot_pattern(m, n, p, inv))
+    attained = {Permutation(s) for s in patterns}
     upper_set = {v for v in all_permutations(n) if bruhat_leq_perm(w, v)}
     bad = attained - upper_set
     rep.add(
@@ -643,21 +638,6 @@ def coset_product_report(w: Permutation, p: int) -> Report:
         _first_cycle(missing),
     )
     return rep
-
-
-def _borel_elements(n: int, field: PrimeField):
-    """All lower triangular matrices in SL(n, F_p), i.e. the group B^-."""
-    p = field.p
-    below = [i * n + j for i in range(n) for j in range(i)]
-    for head in product(range(1, p), repeat=n - 1):
-        diagonal = [0] * (n * n)
-        for i, d in enumerate((*head, field.inverse[prod(head) % p])):
-            diagonal[i * (n + 1)] = d
-        for values in product(range(p), repeat=len(below)):
-            ent = list(diagonal)
-            for k, v in zip(below, values):
-                ent[k] = v
-            yield MatrixFq(field, n, ent)
 
 
 def validate_class(

@@ -63,6 +63,8 @@ class EigenData:
     blocks: tuple[int, ...]
 
     def __post_init__(self):
+        if not all(type(b) is int for b in self.blocks):
+            raise ValueError(f"blocks must be integers: {self.blocks}")
         if not self.blocks or any(b <= 0 for b in self.blocks):
             raise ValueError(f"blocks must be positive: {self.blocks}")
         if any(
@@ -86,20 +88,28 @@ class JordanClass:
     __slots__ = ("n_plus_1", "eigen_data", "values")
 
     def __init__(self, n_plus_1: int, eigen_data, values=None):
+        if type(n_plus_1) is not int or n_plus_1 < 1:
+            raise ValueError(f"n_plus_1 must be a positive integer: {n_plus_1!r}")
         eigen_data = tuple(
             e if isinstance(e, EigenData) else EigenData(e[0], tuple(e[1]))
             for e in eigen_data
         )
         labels = [e.label for e in eigen_data]
+        if not labels:
+            raise ValueError("a class needs at least one eigenvalue")
         if len(set(labels)) != len(labels):
             raise ValueError(f"labels repeat: {labels}")
         total = sum(e.multiplicity for e in eigen_data)
         if total != n_plus_1:
             raise ValueError(f"blocks sum to {total}, expected {n_plus_1}")
         if values is not None:
+            if not isinstance(values, dict):
+                raise ValueError(f"values must map labels to integers: {values!r}")
             values = dict(values)
             if set(values) != set(labels):
                 raise ValueError("values must cover exactly the labels")
+            if not all(type(v) is int for v in values.values()):
+                raise ValueError(f"values must be integers: {values}")
         object.__setattr__(self, "n_plus_1", n_plus_1)
         object.__setattr__(self, "eigen_data", eigen_data)
         object.__setattr__(self, "values", values)
@@ -146,9 +156,18 @@ class JordanClass:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "JordanClass":
+        """The inverse of ``to_json_dict``; ValueError on any other shape."""
+        entries = d["eigen_data"] if isinstance(d, dict) else None
+        if not isinstance(entries, list) or not all(
+            isinstance(e, dict)
+            and isinstance(e.get("label"), str)
+            and isinstance(e.get("blocks"), list)
+            for e in entries
+        ):
+            raise ValueError("expected an eigen_data list of labels and blocks lists")
         return cls(
-            int(d["n_plus_1"]),
-            [(e["label"], tuple(e["blocks"])) for e in d["eigen_data"]],
+            d["n_plus_1"],
+            [(e["label"], tuple(e["blocks"])) for e in entries],
             d.get("values"),
         )
 

@@ -235,6 +235,28 @@ class TestQuery:
         assert main(["query", "--jordan", path, "--perm", "(1 9)"]) == 2
 
 
+# Class files of the wrong shape, each once a traceback from some command
+MALFORMED = {
+    "blocks-not-a-list": {"n_plus_1": 2, "eigen_data": [{"label": "u", "blocks": 2}]},
+    "blocks-not-integers": {
+        "n_plus_1": 2,
+        "eigen_data": [{"label": "u", "blocks": ["a", "b"]}],
+    },
+    "top-level-list": [SL2_TRANSVECTION],
+    "values-not-a-mapping": {**SL2_TRANSVECTION, "values": [1]},
+    "value-not-an-integer": {**SL2_TRANSVECTION, "values": {"u": "1"}},
+    "no-eigenvalues": {"n_plus_1": 0, "eigen_data": []},
+}
+
+
+@pytest.mark.parametrize("payload", MALFORMED.values(), ids=list(MALFORMED))
+def test_malformed_class_file_is_usage_error(jordan_file, capsys, payload):
+    path = jordan_file(payload)
+    for argv in (["query", "--perm", "e"], ["oracle", "--q", "5"], ["hasse"]):
+        assert main([*argv, "--jordan", path]) == 2, argv
+        assert capsys.readouterr().err.startswith("error: "), argv
+
+
 class TestHasse:
     def test_single_node_for_central(self, jordan_file, capsys):
         path = jordan_file(

@@ -1,4 +1,5 @@
-"""Every demo script runs to completion and prints something."""
+"""Every demo script runs to completion and prints something; a demo with
+a file in ``tests/expected`` must print exactly that file."""
 
 import os
 import pathlib
@@ -9,6 +10,7 @@ import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+EXPECTED = ROOT / "tests" / "expected"
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
@@ -21,8 +23,10 @@ def test_demo_runs(demo):
         cwd=ROOT,
         env=env,
         capture_output=True,
-        text=True,
         timeout=600,
     )
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stdout.strip()
+    expected = EXPECTED / f"{demo.stem}.txt"
+    if expected.exists():
+        assert proc.stdout == expected.read_bytes()

@@ -45,7 +45,7 @@ PUBLIC_NAMES = [
     "conjugacy_class", "conjugacy_classes", "coset_product_report",
     "coxeter_elements", "cycle_type", "delta0_on_root", "delta0_permutation",
     "dense_cell_involution", "dominance_leq", "eigenspace_corank",
-    "element_to_word_str", "enumerate_sl", "enumerate_weyl_group",
+    "element_to_word_str", "enumerate_weyl_group",
     "exceedances", "field_classes", "fixed_simple_roots", "gl_order",
     "intersection_table", "involution_cell_meets", "involution_classes",
     "involutions", "is_spherical", "jordan_matrix", "longest_element",

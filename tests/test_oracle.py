@@ -1,4 +1,6 @@
+import collections
 import dataclasses
+import functools
 import itertools
 import math
 import random
@@ -17,13 +19,11 @@ from bruhatcells.oracle import (
     bruhat_factor,
     cell_size_census,
     coset_product_report,
-    enumerate_sl,
     field_classes,
     gl_order,
     intersection_table,
     jordan_matrix,
     opposite_bruhat_cell,
-    permutation_monomial,
     sl_order,
     validate_class,
 )
@@ -39,6 +39,54 @@ from bruhatcells.oracle import (
 )
 from bruhatcells.permutations import Permutation, all_permutations, bruhat_leq_perm
 from bruhatcells.sl_criteria import JordanClass
+
+
+def permutation_monomial(w, field):
+    """A determinant-one monomial matrix with the pattern of w."""
+    n = w.degree
+    ent = [0] * (n * n)
+    for j in range(1, n + 1):
+        ent[(w(j) - 1) * n + (j - 1)] = 1
+    m = MatrixFq(field, n, ent)
+    if m.det() != 1:
+        ent[(w(1) - 1) * n] = field.p - 1
+        m = MatrixFq(field, n, ent)
+    return m
+
+
+def leibniz_terms(n):
+    """sign(w) and the flat positions of the entries (w(j), j), per w in S_n."""
+    return [
+        (-1 if w.inversions() % 2 else 1, [(w(j + 1) - 1) * n + j for j in range(n)])
+        for w in all_permutations(n)
+    ]
+
+
+@functools.lru_cache(maxsize=None)
+def sl_elements(n, p):
+    """All of SL(n, F_p) as entry tuples: the p^(n^2) entry tuples whose
+    Leibniz determinant is 1, independent of the oracle's kernels."""
+    terms = leibniz_terms(n)
+    return tuple(
+        ent
+        for ent in itertools.product(range(p), repeat=n * n)
+        if sum(s * math.prod(ent[k] for k in ks) for s, ks in terms) % p == 1
+    )
+
+
+def borel_minus_elements(n, field):
+    """All lower triangular matrices in SL(n, F_p), i.e. the group B^-."""
+    p = field.p
+    below = [i * n + j for i in range(n) for j in range(i)]
+    for head in itertools.product(range(1, p), repeat=n - 1):
+        diagonal = [0] * (n * n)
+        for i, d in enumerate((*head, field.inverse[math.prod(head) % p])):
+            diagonal[i * (n + 1)] = d
+        for values in itertools.product(range(p), repeat=len(below)):
+            ent = list(diagonal)
+            for k, v in zip(below, values):
+                ent[k] = v
+            yield MatrixFq(field, n, ent)
 
 
 def w0_monomial(n, field):
@@ -175,7 +223,7 @@ class TestBruhatDecomposition:
     @given(st.data())
     def test_cells_are_borel_double_cosets(self, data):
         # b1 * g * b2 lies in the cell of g for upper triangular b1, b2: the
-        # fact that lets the coset-product probe walk B^- alone
+        # fact that lets the coset-product probe walk U^- alone
         p = data.draw(st.sampled_from([2, 3, 5, 7]))
         n = data.draw(st.integers(1, 4))
         field = PrimeField(p)
@@ -272,7 +320,7 @@ class TestPivotPatternMatchesFactoring:
         # reversing the columns keeps the determinant (n = 4, or p = 2), a
         # reversed matrix is in the group and its sigma is looked up.
         field = PrimeField(p)
-        factored = {ent: _eliminate(list(ent), n, field) for ent in enumerate_sl(n, p)}
+        factored = {ent: _eliminate(list(ent), n, field) for ent in sl_elements(n, p)}
         for ent, sigma in factored.items():
             assert _cell_pattern(ent, n, field) == sigma
             flipped = tuple(_column_reversed(ent, n))
@@ -281,10 +329,7 @@ class TestPivotPatternMatchesFactoring:
 
     def test_det_matches_leibniz_on_all_of_m3_f3(self):
         field = PrimeField(3)
-        terms = [
-            (-1 if w.inversions() % 2 else 1, [(w(j + 1) - 1) * 3 + j for j in range(3)])
-            for w in all_permutations(3)
-        ]  # sign(w) and the flat positions of the entries (w(j), j)
+        terms = leibniz_terms(3)
         for ent in itertools.product(range(3), repeat=9):
             expected = sum(s * math.prod(ent[k] for k in ks) for s, ks in terms) % 3
             assert MatrixFq(field, 3, ent).det() == expected
@@ -308,7 +353,7 @@ class TestPivotPatternMatchesFactoring:
 
 
 class TestCellCensus:
-    @pytest.mark.parametrize("n,p", [(2, 3), (3, 2)])
+    @pytest.mark.parametrize("n,p", [(2, 3), (3, 2), (3, 5)])
     def test_partition_of_group(self, n, p):
         census = cell_size_census(n, p)
         assert sum(census.values()) == sl_order(n, p)
@@ -316,9 +361,25 @@ class TestCellCensus:
         for w, size in census.items():
             assert size == b * p ** w.inversions()
 
-    def test_enumerate_sl_counts(self):
-        assert sum(1 for _ in enumerate_sl(2, 7)) == 336
-        assert sum(1 for _ in enumerate_sl(3, 3)) == 5616
+    @pytest.mark.parametrize(
+        "n,p", [(1, 3), (2, 3), (2, 5), (2, 7), (3, 2), (3, 3), (4, 2)]
+    )
+    def test_census_counts_every_element(self, n, p):
+        # the census counts one matrix per left torus coset; the reference
+        # eliminates every element of the group
+        field = PrimeField(p)
+        cells = collections.Counter(
+            Permutation(_cell_pattern(ent, n, field)) for ent in sl_elements(n, p)
+        )
+        assert cell_size_census(n, p) == dict(cells)
+
+    def test_census_guard(self):
+        with pytest.raises(GuardError, match="allow_large=True"):
+            cell_size_census(4, 3)
+
+    def test_whole_group_reference_counts(self):
+        assert len(sl_elements(2, 7)) == sl_order(2, 7) == 336
+        assert len(sl_elements(3, 3)) == sl_order(3, 3) == 5616
 
 
 class TestJordanMatrices:
@@ -417,7 +478,7 @@ class TestGeometricOrbits:
         other = sorted(orbit, key=lambda m: m.entries)[-1]
         f = PrimeField(5)
         regrown = set()
-        for ent in enumerate_sl(2, 5):
+        for ent in sl_elements(2, 5):
             x = MatrixFq(f, 2, ent)
             regrown.add(x * other * _sl2_inverse(x))
         # SL-conjugation may only see part of a GL orbit; here it is all of it
@@ -656,6 +717,28 @@ class TestCosetProducts:
         # |B^-| = 4^3 * 5^6 = 1,000,000 in SL(4, F_5)
         with pytest.raises(GuardError, match=r"\|B\^-\| = 1000000 .* exceeds 15000"):
             coset_product_report(Permutation.identity(4), 5)
+
+    @pytest.mark.parametrize("n,p", [(3, 3), (3, 5), (4, 2)])
+    def test_attained_cells_match_the_borel_walk(self, n, p, monkeypatch):
+        # the probe walks U^- with wdot's rows moved in; the reference
+        # multiplies a monomial wdot into every element of B^-
+        attained = set()
+
+        def recording(m, n, p, inv):
+            sigma = _pivot_pattern(m, n, p, inv)
+            attained.add(Permutation(sigma))
+            return sigma
+
+        monkeypatch.setattr(oracle, "_pivot_pattern", recording)
+        field = PrimeField(p)
+        for w in all_permutations(n):
+            attained.clear()
+            assert coset_product_report(w, p).passed
+            got = set(attained)
+            wdot = permutation_monomial(w, field)
+            assert got == {
+                bruhat_cell(wdot * c) for c in borel_minus_elements(n, field)
+            }, w
 
     def test_sl4_over_f3(self):
         # |B^-| = 2^3 * 3^6 = 5,832: the largest field the guard admits at n = 4
