@@ -559,21 +559,19 @@ def verify_unique_max_classification(t, allow_large: bool = False) -> Report:
         subset_involution(rs, J) for J in catalog_subsets(rs.cartan_type)
     )
     subject = str(rs.cartan_type)
-    diff = computed ^ from_props
-    rep.add(
+    rep.require(
         subject,
         "computed-set-equals-property-enumeration",
         "EXACT",
-        not diff,
-        None if not diff else _fmt(next(iter(diff))),
+        computed ^ from_props,
+        _fmt,
     )
-    diff = from_props ^ from_catalog
-    rep.add(
+    rep.require(
         subject,
         "property-enumeration-equals-catalog",
         "EXACT",
-        not diff,
-        None if not diff else _fmt(next(iter(diff))),
+        from_props ^ from_catalog,
+        _fmt,
     )
     rep.add(subject, "member-count", "EXACT", len(computed) == len(from_catalog))
     return rep
@@ -687,13 +685,12 @@ def verify_coxeter_bound(t, allow_large: bool = False) -> Report:
     for m in sorted(members, key=lambda w: (w.length, w.rows)):
         if m.is_identity:
             continue
-        bad = [c for c in cox if not bruhat_leq(c, m)]
-        rep.add(
+        rep.require(
             subject,
             f"coxeter-elements-below m={_fmt(m)}",
             "EXACT",
-            not bad,
-            None if not bad else _fmt(bad[0]),
+            (c for c in cox if not bruhat_leq(c, m)),
+            _fmt,
         )
     return rep
 
@@ -725,17 +722,21 @@ def verify_ascent_classes(t, allow_large: bool = False) -> Report:
                             reached.add(q)
                             nxt.append((q, lq))
             frontier = nxt
-        missing = [w for w in c.elements if w.perm not in reached]
-        rep.add(
+        rep.require(
             subject,
             f"{label} ascent-to-maximal",
             "EXACT",
-            not missing,
-            None if not missing else _fmt(missing[0]),
+            (w for w in c.elements if w.perm not in reached),
+            _fmt,
         )
         # strong-conjugation connectivity on the maximal stratum
         if len(c.max_length) > 1:
-            stratum = {w.perm for w in c.max_length}
-            ok = _strong_component(rs, c.max_length[0].perm) == stratum
-            rep.add(subject, f"{label} maxima-strongly-linked", "EXACT", ok)
+            linked = _strong_component(rs, c.max_length[0].perm)
+            rep.require(
+                subject,
+                f"{label} maxima-strongly-linked",
+                "EXACT",
+                (w for w in c.max_length if w.perm not in linked),
+                _fmt,
+            )
     return rep

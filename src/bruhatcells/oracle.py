@@ -30,7 +30,7 @@ only); ``_eliminate`` also clears columns and serves ``bruhat_factor``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import product
 from math import isqrt
 from operator import itemgetter
@@ -177,13 +177,13 @@ class MatrixFq:
         return self._det
 
 
-def _eliminate(m, n, field, b1=None, b2=None):
+def _eliminate(m, n, field, b1, b2):
     """The factoring path, for ``bruhat_factor`` only: reduce the invertible
     matrix m (a flat row-major list, in place) to a monomial matrix by
     clearing above pivots with row operations and right of pivots with
     column operations, both triangular.  Returns sigma with
-    sigma[j] = pivot row of column j (1-based).  Given flat identity lists
-    b1 and b2, also updates them so that the input equals b1 * m * b2."""
+    sigma[j] = pivot row of column j (1-based).  Also updates the flat
+    identity lists b1 and b2 so that the input equals b1 * m * b2."""
     p = field.p
     inv = field.inverse
     claimed = [False] * n
@@ -208,9 +208,9 @@ def _eliminate(m, n, field, b1=None, b2=None):
                 # the pivot row is zero left of column j
                 for k in range(j, n):
                     m[ibase + k] = (m[ibase + k] - f * m[pbase + k]) % p
-                if b1 is not None:  # b1 := b1 * (I + f e_{i,piv})
-                    for r in range(0, n * n, n):
-                        b1[r + piv] = (b1[r + piv] + f * b1[r + i]) % p
+                # b1 := b1 * (I + f e_{i,piv})
+                for r in range(0, n * n, n):
+                    b1[r + piv] = (b1[r + piv] + f * b1[r + i]) % p
         for k in range(j + 1, n):
             a = m[pbase + k]
             if a:
@@ -218,9 +218,9 @@ def _eliminate(m, n, field, b1=None, b2=None):
                 for i2 in range(n):
                     b = i2 * n
                     m[b + k] = (m[b + k] - f * m[b + j]) % p
-                if b2 is not None:  # b2 := (I + f e_{j,k}) * b2
-                    for c in range(n):
-                        b2[j * n + c] = (b2[j * n + c] + f * b2[k * n + c]) % p
+                # b2 := (I + f e_{j,k}) * b2
+                for c in range(n):
+                    b2[j * n + c] = (b2[j * n + c] + f * b2[k * n + c]) % p
     return tuple(sigma)
 
 
@@ -625,17 +625,12 @@ def coset_product_report(w: Permutation, p: int) -> Report:
         patterns.add(_pivot_pattern(m, n, p, inv))
     attained = {Permutation(s) for s in patterns}
     upper_set = {v for v in all_permutations(n) if bruhat_leq_perm(w, v)}
-    bad = attained - upper_set
-    rep.add(
-        subject, "products-land-at-or-above", "SOUND", not bad, _first_cycle(bad)
+    cyc = Permutation.cycle_string
+    rep.require(
+        subject, "products-land-at-or-above", "SOUND", attained - upper_set, cyc
     )
-    missing = upper_set - attained
-    rep.add(
-        subject,
-        "attains-whole-upper-set",
-        "COMPLETE",
-        not missing,
-        _first_cycle(missing),
+    rep.require(
+        subject, "attains-whole-upper-set", "COMPLETE", upper_set - attained, cyc
     )
     return rep
 
@@ -660,63 +655,27 @@ def validate_class(
     cells = table.cells
     opposite = table.opposite_cells
 
-    rep.add(
-        subject,
-        "cells-subset-of-opposite-cells",
-        "SOUND",
-        cells <= opposite,
-        _first_cycle(cells - opposite),
-    )
-    bad = [w for w in cells if not passes_corank_bound(c, w)]
-    rep.add(subject, "members-obey-corank-bound", "SOUND", not bad, _first_cycle(bad))
-    bad = cells - lower
-    rep.add(
-        subject, "members-below-dense-element", "SOUND", not bad, _first_cycle(bad)
-    )
-    bad = opposite - lower
-    rep.add(
-        subject,
-        "opposite-members-below-dense-element",
-        "SOUND",
-        not bad,
-        _first_cycle(bad),
-    )
-    bad = [
-        w for w in cells if w.is_involution and not involution_cell_meets(c, w)
-    ]
-    rep.add(
-        subject, "involutions-obey-two-cycle-cap", "SOUND", not bad, _first_cycle(bad)
-    )
+    require = partial(rep.require, subject)
+    cyc = Permutation.cycle_string
+    require("cells-subset-of-opposite-cells", "SOUND", cells - opposite, cyc)
+    bad = (w for w in cells if not passes_corank_bound(c, w))
+    require("members-obey-corank-bound", "SOUND", bad, cyc)
+    require("members-below-dense-element", "SOUND", cells - lower, cyc)
+    require("opposite-members-below-dense-element", "SOUND", opposite - lower, cyc)
+    bad = (w for w in cells if w.is_involution and not involution_cell_meets(c, w))
+    require("involutions-obey-two-cycle-cap", "SOUND", bad, cyc)
     weyl_classes = _cycle_type_classes(n)
-    bad = [
-        str(lam)
+    bad = (
+        lam
         for lam, members in weyl_classes.items()
         if members <= cells and not weyl_class_inside(c, lam)
-    ]
-    rep.add(
-        subject,
-        "contained-classes-dominated",
-        "SOUND",
-        not bad,
-        bad[0] if bad else None,
     )
+    require("contained-classes-dominated", "SOUND", bad)
 
     predicted_inv = {w for w in involutions(n) if involution_cell_meets(c, w)}
     got_inv = {w for w in cells if w.is_involution}
-    rep.add(
-        subject,
-        "involutions-match-two-cycle-cap",
-        "COMPLETE",
-        got_inv == predicted_inv,
-        _first_cycle(got_inv ^ predicted_inv),
-    )
-    rep.add(
-        subject,
-        "opposite-cells-equal-lower-set",
-        "COMPLETE",
-        opposite == lower,
-        _first_cycle(opposite ^ lower),
-    )
+    require("involutions-match-two-cycle-cap", "COMPLETE", got_inv ^ predicted_inv, cyc)
+    require("opposite-cells-equal-lower-set", "COMPLETE", opposite ^ lower, cyc)
     max_ok = table.bruhat_max == m_c
     rep.add(
         subject,
@@ -727,51 +686,18 @@ def validate_class(
         if max_ok
         else (table.bruhat_max.cycle_string() if table.bruhat_max else "none"),
     )
-    bad = [
-        str(lam)
+    bad = (
+        lam
         for lam, members in weyl_classes.items()
         if (members <= cells) != weyl_class_inside(c, lam)
-    ]
-    rep.add(
-        subject,
-        "class-containment-matches-dominance",
-        "COMPLETE",
-        not bad,
-        bad[0] if bad else None,
     )
-    bad = [
-        w
-        for w in opposite
-        if not any(bruhat_leq_perm(w, v) for v in cells)
-    ]
-    rep.add(
-        subject,
-        "opposite-members-below-some-member",
-        "COMPLETE",
-        not bad,
-        _first_cycle(bad),
-    )
-    bad = [
-        w
-        for w in cells
-        if not _cycle_type_classes(n)[cycle_type(w)] <= opposite
-    ]
-    rep.add(
-        subject,
-        "member-classes-inside-opposite",
-        "COMPLETE",
-        not bad,
-        _first_cycle(bad),
-    )
+    require("class-containment-matches-dominance", "COMPLETE", bad)
+    bad = (w for w in opposite if not any(bruhat_leq_perm(w, v) for v in cells))
+    require("opposite-members-below-some-member", "COMPLETE", bad, cyc)
+    bad = (w for w in cells if not weyl_classes[cycle_type(w)] <= opposite)
+    require("member-classes-inside-opposite", "COMPLETE", bad, cyc)
     if is_spherical(c):
-        predicted = spherical_weyl_set(c)
-        rep.add(
-            subject,
-            "spherical-cells-match",
-            "COMPLETE",
-            cells == predicted,
-            _first_cycle(cells ^ predicted),
-        )
+        require("spherical-cells-match", "COMPLETE", cells ^ spherical_weyl_set(c), cyc)
         rep.notes.append(SPHERICAL_CHAR_CAVEAT)
     if table.bruhat_max is None:
         rep.notes.append("no unique Bruhat maximum among met cells")
@@ -785,9 +711,3 @@ def _cycle_type_classes(n: int) -> dict:
     for w in all_permutations(n):
         out.setdefault(cycle_type(w), set()).add(w)
     return {lam: frozenset(ws) for lam, ws in out.items()}
-
-
-def _first_cycle(ws) -> str | None:
-    for w in sorted(ws, key=lambda v: v.images):
-        return w.cycle_string()
-    return None

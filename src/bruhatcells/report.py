@@ -32,12 +32,25 @@ class CheckResult:
 
 @dataclass
 class Report:
+    """The results of one suite, in the order they were recorded.
+
+    Most checks state what must be empty and go through ``require``: a check
+    passes when it has no offenders, and otherwise its witness is the
+    smallest offender as ``fmt`` prints it, so the witness does not depend
+    on hash seed or set order.  Checks that compare two values use ``add``
+    and give their own witness.
+    """
+
     name: str
     results: list[CheckResult] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
 
     def add(self, subject, check, kind, passed, witness=None):
         self.results.append(CheckResult(subject, check, kind, bool(passed), witness))
+
+    def require(self, subject, check, kind, offenders, fmt=str):
+        witness = min(map(fmt, offenders), default=None)
+        self.add(subject, check, kind, witness is None, witness)
 
     @property
     def passed(self) -> bool:

@@ -307,6 +307,12 @@ def _column_reversed(entries, n):
     return [entries[i + n - 1 - j] for i in range(0, n * n, n) for j in range(n)]
 
 
+def _factored_sigma(entries, n, field):
+    """The sigma that ``bruhat_factor`` returns, without building matrices."""
+    b1 = [1 if i == j else 0 for i in range(n) for j in range(n)]
+    return _eliminate(list(entries), n, field, b1, list(b1))
+
+
 class TestPivotPatternMatchesFactoring:
     """The row-operation kernel behind ``_cell_pattern``,
     ``_opposite_pattern`` and ``det`` against the factoring path of
@@ -315,16 +321,15 @@ class TestPivotPatternMatchesFactoring:
 
     @pytest.mark.parametrize("n,p", [(3, 3), (2, 7), (4, 2)])
     def test_patterns_on_the_whole_group(self, n, p):
-        # _eliminate without the b1, b2 bookkeeping: the sigma that
-        # bruhat_factor returns, at a third of its cost per matrix.  Where
-        # reversing the columns keeps the determinant (n = 4, or p = 2), a
-        # reversed matrix is in the group and its sigma is looked up.
+        # Where reversing the columns keeps the determinant (n = 4, or
+        # p = 2), a reversed matrix is in the group and its sigma is looked
+        # up.
         field = PrimeField(p)
-        factored = {ent: _eliminate(list(ent), n, field) for ent in sl_elements(n, p)}
+        factored = {ent: _factored_sigma(ent, n, field) for ent in sl_elements(n, p)}
         for ent, sigma in factored.items():
             assert _cell_pattern(ent, n, field) == sigma
             flipped = tuple(_column_reversed(ent, n))
-            expected = factored.get(flipped) or _eliminate(list(flipped), n, field)
+            expected = factored.get(flipped) or _factored_sigma(flipped, n, field)
             assert _opposite_pattern(ent, n, field) == expected
 
     def test_det_matches_leibniz_on_all_of_m3_f3(self):
