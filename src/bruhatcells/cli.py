@@ -21,7 +21,7 @@ from .conjugacy import (
     verify_twisted_minimum,
     verify_unique_max_classification,
 )
-from .coxeter import CartanType, build_root_system
+from .coxeter import _RANK_LIMIT, CartanType, build_root_system
 from .errors import GuardError
 from .partitions import cycle_type
 from .permutations import Permutation, bruhat_leq_perm
@@ -136,16 +136,17 @@ def cmd_verify(args) -> int:
     skipped = []
     for name in selected:
         suite = _VERIFY_CHECKS[name][0]
+        kwargs = {"allow_large": named and args.allow_large} if name == "ascent" else {}
         try:
-            reports.append(suite(t, allow_large=named and args.allow_large))
+            reports.append(suite(t, **kwargs))
         except GuardError as exc:
             if named:
                 return _fail_usage(f"check {name} refused: {exc}")
             skipped.append((name, exc))
     if not reports:
         return _fail_usage(
-            f"no verification suite fits |W({t})| = {t.weyl_order}; "
-            "request a specific check with --checks and --allow-large"
+            f"no verification suite fits {t}: rank {t.rank} > {_RANK_LIMIT}, and "
+            f"|W({t})| = {t.weyl_order} is too large for the ascent suite"
         )
     ok = all(r.passed for r in reports)
     if args.format == "json":
@@ -323,7 +324,9 @@ def build_parser() -> argparse.ArgumentParser:
         f"{sorted(_VERIFY_CHECKS)} or 'all'",
     )
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--allow-large", action="store_true")
+    p.add_argument(
+        "--allow-large", action="store_true", help="lift the ascent suite's |W| limit"
+    )
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("query", help="cell membership verdicts for one class")

@@ -21,6 +21,7 @@ from .coxeter import (
     RootSystem,
     WeylElement,
     _coerce_type,
+    _rank_guard,
     bruhat_leq,
     build_root_system,
     coxeter_elements,
@@ -239,8 +240,8 @@ def _classes(rs: RootSystem, seeds) -> tuple[ConjugacyClass, ...]:
 
 def _subsets(n: int):
     """All subsets of 1..n, as frozensets, in binary order."""
-    for mask in range(1 << n):
-        yield frozenset(i + 1 for i in range(n) if mask >> i & 1)
+    _rank_guard(n)
+    return (frozenset(i + 1 for i in range(n) if m >> i & 1) for m in range(1 << n))
 
 
 def conjugacy_classes(rs: RootSystem, allow_large: bool = False):
@@ -253,7 +254,7 @@ def conjugacy_classes(rs: RootSystem, allow_large: bool = False):
     return cached
 
 
-def involution_classes(rs: RootSystem, allow_large: bool = False):
+def involution_classes(rs: RootSystem):
     """Conjugacy classes consisting of involutions (identity class included).
 
     Every involution is conjugate to the longest element w0J of some
@@ -261,7 +262,7 @@ def involution_classes(rs: RootSystem, allow_large: bool = False):
     so the classes are those of the 2^rank seeds w0J, J a subset of the
     simple roots, and the group itself is never enumerated.
     """
-    _order_guard(rs.cartan_type, allow_large)
+    _rank_guard(rs.rank)
     cached = rs._memo.get("inv_classes")
     if cached is None:
         seeds = (longest_element(rs, J) for J in _subsets(rs.rank))
@@ -281,7 +282,7 @@ class MaximalSet:
         return len(self.members)
 
 
-def unique_max_involutions(rs: RootSystem, allow_large: bool = False) -> MaximalSet:
+def unique_max_involutions(rs: RootSystem) -> MaximalSet:
     """Elements that are the unique maximal-length member of their class
     (memoised).
 
@@ -289,12 +290,11 @@ def unique_max_involutions(rs: RootSystem, allow_large: bool = False) -> Maximal
     longest element is inverse-closed, forcing that element to be an
     involution.
     """
-    _order_guard(rs.cartan_type, allow_large)
     cached = rs._memo.get("unique_max")
     if cached is None:
         fixed = {
             c.max_length[0]: fixed_simple_roots(c.max_length[0])
-            for c in involution_classes(rs, allow_large)
+            for c in involution_classes(rs)
             if c.is_unique_max
         }
         cached = rs._memo["unique_max"] = MaximalSet(
@@ -451,14 +451,12 @@ def classifying_subsets(rs: RootSystem) -> frozenset[frozenset[int]]:
 
 def _filtered_subsets(rs, require_two):
     key = ("subsets", require_two)
+    _rank_guard(rs.rank)
     cached = rs._memo.get(key)
     if cached is None:
-        n = rs.rank
-        if n > 8:
-            raise GuardError(f"rank {n} > 8: 2^rank subsets")
         cached = rs._memo[key] = frozenset(
             J
-            for J in _subsets(n)
+            for J in _subsets(rs.rank)
             if property_one(rs, J) and (not require_two or property_two(rs, J))
         )
     return cached
@@ -532,12 +530,11 @@ def _fmt(w: WeylElement) -> str:
     return element_to_word_str(w)
 
 
-def _suite_system(t, allow_large: bool, limit: int = ENUMERATION_LIMIT) -> RootSystem:
-    """The root system of t for a verification suite, built only once the
-    order guard admits t: building it is the costly part of a refusal (A60
-    takes seconds)."""
+def _suite_system(t) -> RootSystem:
+    """The root system of t, built only once the rank guard admits t:
+    building it is the costly part of a refusal (A60 takes seconds)."""
     t = _coerce_type(t)
-    _order_guard(t, allow_large, limit)
+    _rank_guard(t.rank)
     return build_root_system(t)
 
 
@@ -545,16 +542,15 @@ def _fmt_subset(J) -> str:
     return "{" + " ".join(map(str, sorted(J))) + "}"
 
 
-def verify_unique_max_classification(t, allow_large: bool = False) -> Report:
+def verify_unique_max_classification(t) -> Report:
     """Check that the unique-maximal involutions, the property-based subset
     enumeration, and the stored catalog all produce the same set."""
-    rs = _suite_system(t, allow_large)
+    rs = _suite_system(t)
     rep = Report(f"unique-max classification {rs.cartan_type}")
-    # the rank guard of classifying_subsets refuses before any class is built
     from_props = frozenset(
         subset_involution(rs, J) for J in classifying_subsets(rs)
     )
-    computed = unique_max_involutions(rs, allow_large=allow_large).members
+    computed = unique_max_involutions(rs).members
     from_catalog = frozenset(
         subset_involution(rs, J) for J in catalog_subsets(rs.cartan_type)
     )
@@ -610,7 +606,7 @@ def _stable_subset_classes(rs: RootSystem) -> dict:
     return {J: find(J) for J in stable}
 
 
-def verify_subset_conjugacy(t, allow_large: bool = False) -> Report:
+def verify_subset_conjugacy(t) -> Report:
     """For subsets J, K with Property (1): the attached involutions are
     conjugate exactly when some -w0-symmetric element, one with
     w0 * x * w0 = x, maps J onto K.
@@ -622,14 +618,12 @@ def verify_subset_conjugacy(t, allow_large: bool = False) -> Report:
     simple roots, any x in W) on the Property-(1) subsets, so a fault that
     dropped the symmetry condition would not show here.
     """
-    rs = _suite_system(t, allow_large)
+    rs = _suite_system(t)
     rep = Report(f"subset conjugacy {rs.cartan_type}")
-    # the rank guard of subsets_with_property_one refuses before any class
-    # is built
     subsets = sorted(subsets_with_property_one(rs), key=sorted)
     class_of = {
         w.perm: k
-        for k, c in enumerate(involution_classes(rs, allow_large))
+        for k, c in enumerate(involution_classes(rs))
         for w in c.elements
     }
     class_of_subset = {J: class_of[subset_involution(rs, J).perm] for J in subsets}
@@ -649,38 +643,38 @@ def verify_subset_conjugacy(t, allow_large: bool = False) -> Report:
     return rep
 
 
-def verify_twisted_minimum(t, allow_large: bool = False) -> Report:
+def verify_twisted_minimum(t) -> Report:
     """Each unique-maximal involution m gives w0*m as the unique minimal
-    length element of its twisted class under the -w0 diagram symmetry."""
-    rs = _suite_system(t, allow_large)
+    length element of its twisted class under the -w0 diagram symmetry.
+    That class is w0 times the class of m, so the rank guard bounds it."""
+    rs = _suite_system(t)
     rep = Report(f"twisted minimum {rs.cartan_type}")
     delta = delta0_permutation(rs)
     subject = str(rs.cartan_type)
     for m in sorted(
-        unique_max_involutions(rs, allow_large=allow_large).members,
+        unique_max_involutions(rs).members,
         key=lambda w: (w.length, w.rows),
     ):
         u = rs.w0 * m
-        tc = twisted_class(u, delta, allow_large=allow_large)
-        ok = tc.min_length == (u,)
+        mins = _materialize(rs, _orbit(rs, u, delta))[2]
+        ok = mins == (u,)
         rep.add(
             subject,
             f"unique-twisted-minimum m={_fmt(m)}",
             "EXACT",
             ok,
-            None if ok else ", ".join(_fmt(v) for v in tc.min_length),
+            None if ok else ", ".join(_fmt(v) for v in mins),
         )
     return rep
 
 
-def verify_coxeter_bound(t, allow_large: bool = False) -> Report:
+def verify_coxeter_bound(t) -> Report:
     """Every Coxeter element sits below every nonidentity unique-maximal
     involution in the Bruhat order."""
-    rs = _suite_system(t, allow_large)
+    rs = _suite_system(t)
     rep = Report(f"coxeter bound {rs.cartan_type}")
-    # the rank guard of coxeter_elements refuses before any class is built
     cox = sorted(coxeter_elements(rs), key=lambda w: w.rows)
-    members = unique_max_involutions(rs, allow_large=allow_large).members
+    members = unique_max_involutions(rs).members
     subject = str(rs.cartan_type)
     for m in sorted(members, key=lambda w: (w.length, w.rows)):
         if m.is_identity:
@@ -703,7 +697,9 @@ def verify_ascent_classes(t, allow_large: bool = False) -> Report:
     The classes come from the whole group, so it refuses Weyl groups with
     more than STRONG_CONJ_LIMIT elements unless allow_large is set.
     """
-    rs = _suite_system(t, allow_large, STRONG_CONJ_LIMIT)
+    t = _coerce_type(t)
+    _order_guard(t, allow_large, STRONG_CONJ_LIMIT)
+    rs = build_root_system(t)
     rep = Report(f"ascent suite {rs.cartan_type}")
     subject = str(rs.cartan_type)
     for c in conjugacy_classes(rs, allow_large):

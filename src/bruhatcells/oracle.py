@@ -85,10 +85,11 @@ COMPLETE_PAIRS = ((2, 5), (2, 7), (3, 5))
 
 ORBIT_LIMIT = 10**7
 _MAX_PRIME = 31
-# The coset-product probe is limited by |B^-| and walks U^-, (p-1)^(n-1)
-# times smaller: (3, 7), |B^-| = 12,348, takes 0.001 s of CPU per w, and
-# (4, 3), 5,832, 0.004 s (2 vCPUs, Python 3.11).
-_COSET_PRODUCT_LIMIT = 15_000
+# Limits on the matrices a walk eliminates, 6-15 us each (2 vCPUs, Python 3.11):
+# census (3, 7) walks 185,193 in 1.1 s of CPU, (4, 3) 2,560,000 in 17 s; the
+# coset probe at (4, 5) walks 15,625 in 0.14 s per w, at (5, 3) 59,049 in 0.66 s.
+_CENSUS_LIMIT = 10**6
+_COSET_PRODUCT_LIMIT = 60_000
 
 
 class PrimeField:
@@ -427,14 +428,6 @@ def _torus_class(m, n: int, field: PrimeField):
     return tuple(out), (p - 1) ** (n - components)
 
 
-def _orbit_guard(n: int, p: int, allow_large: bool):
-    if sl_order(n, p) > ORBIT_LIMIT and not allow_large:
-        raise GuardError(
-            f"|SL({n}, F_{p})| = {sl_order(n, p)} exceeds {ORBIT_LIMIT}; "
-            "pass allow_large=True to force it (CLI: --allow-large)"
-        )
-
-
 def _iter_orbit(start: MatrixFq, allow_large: bool = False):
     """Depth-first walk of the GL(n)-conjugation orbit of start, one
     T-conjugacy class at a time: yields (canonical entries, class size,
@@ -454,7 +447,11 @@ def _iter_orbit(start: MatrixFq, allow_large: bool = False):
     """
     n, field = start.n, start.field
     p, inv = field.p, field.inverse
-    _orbit_guard(n, p, allow_large)
+    if sl_order(n, p) > ORBIT_LIMIT and not allow_large:
+        raise GuardError(
+            f"|SL({n}, F_{p})| = {sl_order(n, p)} exceeds {ORBIT_LIMIT}; "
+            "pass allow_large=True to force it (CLI: --allow-large)"
+        )
     units = range(1, p) if n > 1 else ()
     row, rows = range(n), range(0, n * n, n)
     swaps = _swap_conjugations(n)
@@ -544,7 +541,12 @@ def cell_size_census(n: int, p: int, allow_large: bool = False) -> dict:
     have 1 as first nonzero entry, and weighted by the (p-1)^(n-1) members
     it has in SL."""
     inv = PrimeField(p).inverse
-    _orbit_guard(n, p, allow_large)
+    walked = ((p**n - 1) // (p - 1)) ** n
+    if walked > _CENSUS_LIMIT and not allow_large:
+        raise GuardError(
+            f"the census of SL({n}, F_{p}) walks {walked:,} matrices, above its "
+            f"limit of {_CENSUS_LIMIT:,}; pass allow_large=True to force it"
+        )
     rows = [
         (0,) * k + (1,) + rest
         for k in range(n)
@@ -602,10 +604,10 @@ def coset_product_report(w: Permutation, p: int) -> Report:
     together they must be exactly the upper set of w (COMPLETE).
     """
     n = w.degree
-    order = borel_order(n, p)
-    if order > _COSET_PRODUCT_LIMIT:
+    walked = p ** (n * (n - 1) // 2)
+    if walked > _COSET_PRODUCT_LIMIT:
         raise GuardError(
-            f"|B^-| = {order} in SL({n}, F_{p}) exceeds {_COSET_PRODUCT_LIMIT}, "
+            f"|U^-| = {walked:,} in SL({n}, F_{p}) exceeds {_COSET_PRODUCT_LIMIT:,}, "
             "the coset product probe's size limit"
         )
     inv = PrimeField(p).inverse

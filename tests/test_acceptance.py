@@ -5,10 +5,14 @@ reads as a checklist.  Everything here is exhaustive at the stated sizes;
 there are no tolerances, only exact equality.
 """
 
+import json
+
 import pytest
 
 from bruhatcells import clear_caches
+from bruhatcells.cli import main
 from bruhatcells.conjugacy import (
+    involution_classes,
     unique_max_involutions,
     verify_ascent_classes,
     verify_coxeter_bound,
@@ -246,17 +250,41 @@ def test_e6_subset_conjugacy():
         clear_caches()
 
 
-def test_e8_classification():
-    """The E8 run: 199,952 involutions in 10 classes, 2.3-3.8 s of CPU time
-    and 104 MB peak RSS with bytes permutations (2 vCPUs, Python 3.11);
-    tuple permutations needed about 19 s and 462 MB, integer matrices about
-    109 s and 268 MB."""
-    rs = build_root_system("E8")
+def test_e8_classification(capsys):
+    """`bruhatcells verify --type E8` with no flags: the classification,
+    twisted-min, subset-conjugacy and Coxeter-bound suites pass and only
+    ascent is skipped, W(E8) is never enumerated.  199,952 involutions in
+    10 classes; 4.3-4.7 s of CPU time and 115 MB peak RSS for the whole run
+    with bytes permutations (2 vCPUs, Python 3.11), of which the
+    classification takes 2.3-3.8 s; tuple permutations needed about 19 s
+    and 462 MB for it, integer matrices about 109 s and 268 MB."""
     try:
-        rep = verify_unique_max_classification("E8", allow_large=True)
-        announce("classification E8", rep.passed)
-        got = len(unique_max_involutions(rs, allow_large=True))
+        code = main(["verify", "--type", "E8", "--format", "json"])
+        data = json.loads(capsys.readouterr().out)
+        announce("verify E8", code == 0 and data["passed"], f"exit code {code}")
+        names = [r["name"] for r in data["reports"]]
+        announce("verify E8 runs four suites", len(names) == 4, str(names))
+        announce("verify E8 skips only ascent", data["skipped"] == ["ascent"])
+        rs = build_root_system("E8")
+        got = len(unique_max_involutions(rs))
         announce("classification size E8", got == 5, f"got {got}, want 5")
+        classes = involution_classes(rs)
+        sizes = (len(classes), sum(map(len, classes)))
+        announce("involutions E8", sizes == (10, 199952), f"got {sizes}")
+        announce("W(E8) not enumerated", "all_elements" not in rs._memo)
     finally:
-        # release the classes, and keep the E8 guards of later tests in force
+        clear_caches()
+
+
+@pytest.mark.parametrize("name", ["A9", "B9", "C9", "D9"])
+def test_rank_9_classification(name):
+    """The catalog's parametric A-D rules at rank 9, the bound of the
+    involution-side suites: B9 and C9 have 168,992 involutions in 30
+    classes and take 3.4 s of CPU time and 79 MB peak RSS each (2 vCPUs,
+    Python 3.11), D9 (84,496 in 15) 1.5 s and 47 MB, A9 (9,496 in 6)
+    0.2 s and 19 MB."""
+    try:
+        rep = verify_unique_max_classification(name)
+        announce(f"classification {name}", rep.passed, "" if rep.passed else rep.to_text())
+    finally:
         clear_caches()

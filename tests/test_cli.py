@@ -76,7 +76,10 @@ class TestVerify:
         assert main(["verify", "--type", "F4"]) == 0
 
     def test_e8_guard(self, capsys):
-        assert main(["verify", "--type", "E8"]) == 2
+        # E8 is guarded only where W is walked: the ascent suite
+        assert main(["verify", "--type", "E8", "--checks", "ascent"]) == 2
+        err = capsys.readouterr().err
+        assert "check ascent refused: |W(E8)| = 696729600 exceeds 10000" in err
 
     def test_unknown_check(self, capsys):
         assert main(["verify", "--type", "A3", "--checks", "nonsense"]) == 2
@@ -91,6 +94,7 @@ class TestVerify:
         assert main(["verify", "--type", "E6", "--checks", "ascent"]) == 2
 
     def test_override_reaches_guarded_check(self, capsys):
+        # conjugate-j is bounded by the rank alone: the flag has nothing to lift
         args = ["verify", "--type", "A7", "--checks", "conjugate-j", "--allow-large"]
         assert main(args) == 0
         assert "subset conjugacy A7" in capsys.readouterr().out
@@ -107,15 +111,6 @@ class TestVerify:
         assert re.search(r"about [\d,]+ MB", err)
         assert "all_elements" not in build_root_system("E8")._memo
 
-    def test_e8_subset_conjugacy_under_override(self, capsys):
-        # the mappings come from a closure over subsets, so W(E8) is never
-        # enumerated: 4,096 pairs (J, K) in about 4 s and 115 MB
-        args = ["verify", "--type", "E8", "--checks", "conjugate-j", "--allow-large"]
-        assert main(args) == 0
-        out = capsys.readouterr().out
-        assert "subset conjugacy E8" in out and "result: pass" in out
-        assert "all_elements" not in build_root_system("E8")._memo
-
     def test_e7_runs_every_suite_but_ascent(self, capsys):
         assert main(["verify", "--type", "E7", "--format", "json"]) == 0
         data = json.loads(capsys.readouterr().out)
@@ -129,20 +124,20 @@ class TestVerify:
         assert data["passed"]
 
     def test_all_runs_every_suite_its_own_guard_admits(self, capsys):
-        # A9 is within the enumeration limit, but classifying subsets and
-        # Coxeter elements refuse rank 9 and the strong suites refuse |W|
+        # A9 is within the rank bound of the involution-side suites, but the
+        # ascent suite refuses its |W|
         assert main(["verify", "--type", "A9", "--format", "json"]) == 0
         data = json.loads(capsys.readouterr().out)
-        assert [r["name"] for r in data["reports"]] == ["twisted minimum A9"]
-        assert data["skipped"] == [
-            "m-classification",
-            "ascent",
-            "conjugate-j",
-            "coxeter-bound",
+        assert [r["name"] for r in data["reports"]] == [
+            "unique-max classification A9",
+            "twisted minimum A9",
+            "subset conjugacy A9",
+            "coxeter bound A9",
         ]
+        assert data["skipped"] == ["ascent"]
         assert main(["verify", "--type", "A9"]) == 0
         out = capsys.readouterr().out
-        assert "# skipped coxeter-bound: rank 9 > 8: too many orderings" in out
+        assert "# skipped ascent: |W(A9)| = 3628800 exceeds 10000" in out
 
     def test_skip_line_names_the_keyword_and_the_flag(self, capsys):
         assert main(["verify", "--type", "E6"]) == 0
@@ -159,20 +154,20 @@ class TestVerify:
         def spy(name):
             suite = cli._VERIFY_CHECKS[name][0]
 
-            def run(t, allow_large=False):
+            def run(t, **kwargs):
                 ran.append(name)
-                return suite(t, allow_large=allow_large)
+                return suite(t, **kwargs)
 
             monkeypatch.setitem(cli._VERIFY_CHECKS, name, (run,))
 
         spy("twisted-min")
-        spy("coxeter-bound")
-        args = ["verify", "--type", "A9", "--checks", "twisted-min,coxeter-bound"]
+        spy("ascent")
+        args = ["verify", "--type", "A9", "--checks", "twisted-min,ascent"]
         assert main(args) == 2
         out, err = capsys.readouterr()
-        assert ran == ["twisted-min", "coxeter-bound"]
+        assert ran == ["twisted-min", "ascent"]
         assert not out
-        assert "coxeter-bound" in err and "rank 9 > 8" in err
+        assert "check ascent refused" in err and "3628800" in err
 
     def test_refusal_does_not_build_the_root_system(self, capsys, monkeypatch):
         from bruhatcells import conjugacy
@@ -181,14 +176,19 @@ class TestVerify:
             raise AssertionError(f"built the root system of {t}")
 
         monkeypatch.setattr(conjugacy, "build_root_system", no_build)
+        assert main(["verify", "--type", "A10"]) == 2
+        assert "no verification suite fits A10: rank 10 > 9" in capsys.readouterr().err
         assert main(["verify", "--type", "A60"]) == 2
         assert "no verification suite fits" in capsys.readouterr().err
         assert main(["verify", "--type", "A60", "--checks", "ascent"]) == 2
         assert "ascent" in capsys.readouterr().err
 
     def test_nothing_applicable_is_usage_error(self, capsys):
-        # even with the override, 'all' has nothing that fits E8
-        assert main(["verify", "--type", "E8", "--allow-large"]) == 2
+        # even with the flag, 'all' has nothing that fits rank 10: the flag
+        # lifts only the |W| limit of a named ascent suite
+        assert main(["verify", "--type", "B10", "--allow-large"]) == 2
+        err = capsys.readouterr().err
+        assert "rank 10 > 9" in err and "|W(B10)| = 3715891200" in err
 
     def test_json_format(self, capsys):
         assert main(
@@ -414,7 +414,7 @@ class TestViolationExitCode:
         from bruhatcells import cli
         from bruhatcells.report import Report
 
-        def fake_verify(t, allow_large=False):
+        def fake_verify(t):
             rep = Report("stub")
             rep.add(str(t), "stub-check", "EXACT", False, "w")
             return rep

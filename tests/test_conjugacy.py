@@ -277,27 +277,28 @@ class TestInvolutionClasses:
         assert sum(len(c) for c in classes) == 892
         assert "all_elements" not in rs._memo
 
-    def test_guard_on_e8(self):
-        with pytest.raises(GuardError):
-            involution_classes(build_root_system("E8"))
+    def test_rank_guard(self):
+        # the classes are grown from 2^rank seeds; E8 is admitted, rank 10 not
+        with pytest.raises(GuardError, match="rank 10 > 9"):
+            involution_classes(RootSystem(CartanType("A", 10)))
 
 
 @pytest.mark.parametrize(
-    "function,key",
+    "function,key,name,refusal",
     [
-        (enumerate_weyl_group, "all_elements"),
-        (conjugacy_classes, "conj_classes"),
-        (involution_classes, "inv_classes"),
-        (unique_max_involutions, "unique_max"),
+        (enumerate_weyl_group, "all_elements", "E8", "696729600"),
+        (conjugacy_classes, "conj_classes", "E8", "696729600"),
+        (involution_classes, "inv_classes", "A10", "rank 10 > 9"),
     ],
 )
-def test_guard_verdict_does_not_depend_on_the_memo(function, key):
-    rs = RootSystem(CartanType("E", 8))
-    with pytest.raises(GuardError, match="696729600"):
+def test_guard_verdict_does_not_depend_on_the_memo(function, key, name, refusal):
+    rs = RootSystem(CartanType.from_string(name))
+    with pytest.raises(GuardError, match=refusal):
         function(rs)
-    # a warm memo, as a run with allow_large=True leaves it
+    # a warm memo, as a run with allow_large=True leaves it, must not get
+    # past the guard
     rs._memo[key] = ()
-    with pytest.raises(GuardError, match="696729600"):
+    with pytest.raises(GuardError, match=refusal):
         function(rs)
 
 
@@ -462,12 +463,15 @@ class TestVerificationSuites:
     def test_subset_conjugacy(self, name):
         assert verify_subset_conjugacy(name).passed
 
-    def test_subset_conjugacy_guard_and_override(self):
-        # |W(E8)| = 696729600 is above ENUMERATION_LIMIT, the limit of
-        # involution_classes
-        with pytest.raises(GuardError):
-            verify_subset_conjugacy("E8")
-        assert verify_subset_conjugacy("E8", allow_large=True).passed
+    def test_subset_conjugacy_rank_guard(self):
+        # the suite is bounded by the rank alone: A9, refused at any |W|
+        # before, passes, and rank 10 is refused
+        try:
+            assert verify_subset_conjugacy("A9").passed
+        finally:
+            clear_caches()
+        with pytest.raises(GuardError, match="rank 10 > 9"):
+            verify_subset_conjugacy("A10")
 
     @pytest.mark.parametrize(
         "name,proper",
@@ -509,15 +513,18 @@ class TestVerificationSuites:
             verify_unique_max_classification,
             verify_coxeter_bound,
             verify_subset_conjugacy,
+            verify_twisted_minimum,
         ],
     )
-    def test_rank_guard_refuses_before_classes_are_built(self, suite):
-        # subsets of the simple roots and Coxeter elements stop at rank 8; A9
-        # has to be refused before its involution classes are grown
-        clear_caches()
-        with pytest.raises(GuardError, match="rank 9 > 8"):
-            suite("A9")
-        assert "inv_classes" not in build_root_system("A9")._memo
+    def test_rank_guard_refuses_before_classes_are_built(self, suite, monkeypatch):
+        # the involution-side suites stop at rank 9; A10 has to be refused
+        # before its root system, let alone its involution classes, is built
+        def no_build(t):
+            raise AssertionError(f"built the root system of {t}")
+
+        monkeypatch.setattr(conjugacy, "build_root_system", no_build)
+        with pytest.raises(GuardError, match="rank 10 > 9"):
+            suite("A10")
 
     @pytest.mark.parametrize("name", ["A2", "A3", "B3", "G2"])
     def test_ascent_suite(self, name):

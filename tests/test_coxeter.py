@@ -381,7 +381,27 @@ class TestReducedWords:
         assert element_to_word_str(rs.identity) == "e"
 
 
+def ordering_products(rs):
+    """Reference: the products of the simple reflections in each of the
+    rank! orderings, deduplicated."""
+    out = set()
+    for order in itertools.permutations(range(1, rs.rank + 1)):
+        out.add(word_to_element(rs, order))
+    return frozenset(out)
+
+
 class TestCoxeterElements:
+    @pytest.mark.parametrize(
+        "name",
+        ["A1", "A2", "A5", "A8", "B4", "B8", "C5", "C8", "D4", "D5", "D6", "D8",
+         "E6", "E7", "E8", "F4", "G2"],
+    )
+    def test_orientations_give_every_ordering_product(self, name):
+        rs = build_root_system(name)
+        got = coxeter_elements(rs)
+        assert got == ordering_products(rs)
+        assert {c.length for c in got} == {rs.rank}
+
     def test_a2_exactly_two(self):
         rs = build_root_system("A2")
         s1, s2 = rs.simple_reflections

@@ -358,7 +358,7 @@ class TestPivotPatternMatchesFactoring:
 
 
 class TestCellCensus:
-    @pytest.mark.parametrize("n,p", [(2, 3), (3, 2), (3, 5)])
+    @pytest.mark.parametrize("n,p", [(2, 3), (3, 2), (3, 5), (3, 7)])
     def test_partition_of_group(self, n, p):
         census = cell_size_census(n, p)
         assert sum(census.values()) == sl_order(n, p)
@@ -379,8 +379,19 @@ class TestCellCensus:
         assert cell_size_census(n, p) == dict(cells)
 
     def test_census_guard(self):
+        # 40^4 = 2,560,000 row-scaled matrices, about 17 s of CPU
         with pytest.raises(GuardError, match="allow_large=True"):
             cell_size_census(4, 3)
+
+    def test_census_guard_counts_the_walk(self, monkeypatch):
+        # |SL(5, F_2)| = 9,999,360 is small, but the census would walk
+        # 31^5 matrices; the refusal comes before the first of them
+        def no_walk(*args):
+            raise AssertionError("the census started")
+
+        monkeypatch.setattr(oracle, "_pivot_pattern", no_walk)
+        with pytest.raises(GuardError, match="walks 28,629,151 matrices"):
+            cell_size_census(5, 2)
 
     def test_whole_group_reference_counts(self):
         assert len(sl_elements(2, 7)) == sl_order(2, 7) == 336
@@ -719,9 +730,15 @@ class TestCosetProducts:
                 ]
 
     def test_guard(self):
-        # |B^-| = 4^3 * 5^6 = 1,000,000 in SL(4, F_5)
-        with pytest.raises(GuardError, match=r"\|B\^-\| = 1000000 .* exceeds 15000"):
-            coset_product_report(Permutation.identity(4), 5)
+        # |U^-| = 7^6 in SL(4, F_7)
+        with pytest.raises(GuardError, match=r"\|U\^-\| = 117,649 .* exceeds 60,000"):
+            coset_product_report(Permutation.identity(4), 7)
+
+    def test_guard_counts_the_walk(self):
+        # |B^-| = 4^3 * 5^6 = 1,000,000 in SL(4, F_5), but the probe walks
+        # only |U^-| = 15,625 matrices per w
+        for w in (Permutation.identity(4), Permutation.longest(4)):
+            assert coset_product_report(w, 5).passed
 
     @pytest.mark.parametrize("n,p", [(3, 3), (3, 5), (4, 2)])
     def test_attained_cells_match_the_borel_walk(self, n, p, monkeypatch):
@@ -746,7 +763,7 @@ class TestCosetProducts:
             }, w
 
     def test_sl4_over_f3(self):
-        # |B^-| = 2^3 * 3^6 = 5,832: the largest field the guard admits at n = 4
+        # |U^-| = 3^6 = 729
         for w in (Permutation.identity(4), Permutation.longest(4)):
             rep = coset_product_report(w, 3)
             assert rep.passed
