@@ -84,7 +84,7 @@ def _order_guard(t: CartanType, allow_large: bool, limit: int = ENUMERATION_LIMI
     if order > limit and not allow_large:
         raise GuardError(
             f"|W({t})| = {order} exceeds {limit}; lift this limit with "
-            "allow_large=True (CLI: --checks NAME --allow-large)"
+            "allow_large=True (CLI: --checks ascent --allow-large)"
         )
 
 

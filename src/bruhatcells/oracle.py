@@ -12,11 +12,14 @@ Both cell systems are invariant under conjugation by the diagonal torus T,
 so an orbit is walked one T-conjugacy class at a time and only a canonical
 representative of each class is eliminated: over DEFAULT_PAIRS that is
 10,927 representatives for 103,250 matrices, and the (3, 5) sweep walks
-6,226 classes instead of 97,000 matrices.  BwB is invariant under
-conjugation by all of B, so a class the walk first reaches over a
-transvection in B keeps its parent's cell: 4,572 representatives are
-eliminated for BwB over DEFAULT_PAIRS (1,547 at (3, 5)), and all of them
-for BwB^-.
+6,226 classes instead of 97,000 matrices.  Most representatives are
+scaled along a tree that conjugation by I + c*e_12 leaves alone, so their
+transvection conjugates need no canonicalisation: 15,805 calls of
+``_torus_class`` over DEFAULT_PAIRS, where one per edge took 56,267.  BwB
+is invariant under conjugation by all of B, so a class the walk first
+reaches over a transvection in B keeps its parent's cell: 3,713
+representatives are eliminated for BwB over DEFAULT_PAIRS (1,362 at
+(3, 5)), and all of them for BwB^-.
 
 Left multiplication by T keeps every cell as well, so the whole-group
 checks count over torus cosets: ``cell_size_census`` eliminates one
@@ -81,7 +84,7 @@ __all__ = [
 # (dimension, prime) pairs whose full class sweep stays at desk scale
 DEFAULT_PAIRS = ((2, 3), (2, 5), (2, 7), (3, 2), (3, 3), (3, 5), (4, 2))
 # pairs where the empirical tables match the predicted sets exactly
-COMPLETE_PAIRS = ((2, 5), (2, 7), (3, 5))
+COMPLETE_PAIRS = ((2, 5), (2, 7), (3, 5), (3, 7), (4, 3))
 
 ORBIT_LIMIT = 10**7
 _MAX_PRIME = 31
@@ -347,19 +350,18 @@ def jordan_matrix(c: JordanClass, p: int) -> MatrixFq:
 
 
 @lru_cache(maxsize=8)
-def _swap_conjugations(n: int):
-    """Conjugation by each adjacent transposition matrix s_i as one
-    ``itemgetter``: s_i m s_i only permutes the flat entries.  With
-    I + c*e_12 (c in F_p^*) and the diagonal torus T they generate GL(n),
-    and T-conjugation maps these generators into themselves times T, so
-    closing T-class representatives under them reaches every T-class of a
-    GL(n)-orbit."""
-    swaps = []
-    for i in range(n - 1):
-        s = list(range(n))
-        s[i], s[i + 1] = i + 1, i
-        swaps.append(itemgetter(*(a * n + b for a in s for b in s)))
-    return tuple(swaps)
+def _cycle_conjugation(n: int):
+    """Conjugation by the permutation matrix of the n-cycle i -> i+1 as one
+    ``itemgetter``: it only permutes the flat entries.  Its powers carry
+    I + c*e_12 (c in F_p^*) to every I + c*e_{i,i+1} and to I + c*e_{n,1},
+    which with the diagonal torus T generate GL(n); T-conjugation maps these
+    generators into themselves times T, so closing T-class representatives
+    under them reaches every T-class of a GL(n)-orbit.  At n = 1 the cycle
+    is the identity (an ``itemgetter`` of one index would return a scalar)."""
+    if n == 1:
+        return tuple
+    back = [(a - 1) % n for a in range(n)]
+    return itemgetter(*(a * n + b for a in back for b in back))
 
 
 @lru_cache(maxsize=8)
@@ -368,16 +370,11 @@ def _off_diagonal(n: int):
     return itemgetter(*(k for k in range(n * n) if k % (n + 1)))
 
 
-@lru_cache(maxsize=4096)
-def _support_plan(support: bytes, n: int):
-    """For the nonzero flags ``support`` of the off-diagonal entries, row by
-    row: a depth-first spanning forest of the graph on 0..n-1 with an edge
-    u-v where m_uv or m_vu is nonzero, as edges (index of m_uv, index of
-    m_vu, u, v) with u reached first; the nonzero off-diagonal positions
-    (index of m_uv, u, v); and the number of components.  The diagonal is
-    left out of the key, so at n <= 4 all 2^(n^2 - n) plans fit."""
-    flags = iter(support)
-    support = [u != v and next(flags) for u in range(n) for v in range(n)]
+def _spanning_forest(support, n: int):
+    """Depth-first spanning forest of the graph on 0..n-1 with an edge u-v
+    where support[uv] or support[vu] holds (flat indices), as edges
+    (k, u, v, forward) with u reached first and k the index of m_uv when
+    forward, else of m_vu; and the number of components."""
     reached = [False] * n
     edges = []
     components = 0
@@ -392,10 +389,35 @@ def _support_plan(support: bytes, n: int):
             for v in range(n):
                 if not reached[v] and (support[u * n + v] or support[v * n + u]):
                     reached[v] = True
-                    edges.append((u * n + v, v * n + u, u, v))
+                    forward = bool(support[u * n + v])
+                    edges.append((u * n + v if forward else v * n + u, u, v, forward))
                     stack.append(v)
+    return tuple(edges), components
+
+
+@lru_cache(maxsize=4096)
+def _support_plan(support: bytes, n: int):
+    """For the nonzero flags ``support`` of the off-diagonal entries, row by
+    row: the spanning forest that ``_torus_class`` scales along, see
+    ``_spanning_forest``; the nonzero off-diagonal positions (index of m_uv,
+    u, v); the number of components; and whether the forest is a kept tree.
+
+    The forest is first built from the entries outside row 0 and column 1,
+    the only ones conjugation by I + c*e_12 leaves alone.  When that forest
+    connects all n vertices it is used (a kept tree): a representative's
+    transvection conjugates then keep its tree, with its entries still 1, so
+    they are canonical as they stand.  Otherwise the forest is built from
+    every entry.  The diagonal is left out of the key, so at n <= 4 all
+    2^(n^2 - n) plans fit."""
+    flags = iter(support)
+    support = [u != v and next(flags) for u in range(n) for v in range(n)]
+    fixed = [s and k >= n and k % n != 1 for k, s in enumerate(support)]
+    edges, components = _spanning_forest(fixed, n)
+    kept_tree = components == 1
+    if not kept_tree:
+        edges, components = _spanning_forest(support, n)
     positions = tuple((k, k // n, k % n) for k in range(n * n) if support[k])
-    return tuple(edges), positions, components
+    return edges, positions, components, kept_tree
 
 
 _NONZERO = bytes([0]) + bytes([1]) * 255  # translate table
@@ -404,28 +426,29 @@ _NONZERO = bytes([0]) + bytes([1]) * 255  # translate table
 def _torus_class(m, n: int, field: PrimeField):
     """Canonical representative and size of the T-conjugacy class of the
     flat matrix m, which is left unchanged, T the diagonal torus of
-    GL(n, F_p); the orbit walk's kernel, run on every matrix it reaches.
+    GL(n, F_p); the orbit walk's kernel.  Returns the representative as
+    ``bytes`` (entries are below p <= 31), the class size, and whether its
+    forest is a kept tree (see ``_support_plan``).
 
     (t m t^-1)_uv = t_u m_uv / t_v, so scaling along a spanning forest of
-    the off-diagonal support graph turns every forest entry into 1 (m_uv,
-    or m_vu where m_uv = 0); this fixes t up to a constant on each
-    component, which leaves the matrix alone.  The class therefore has
-    (p-1)^(n - components) members.  Only off-diagonal nonzeros change.
+    the off-diagonal support graph turns every forest entry into 1; this
+    fixes t up to a constant on each component, which leaves the matrix
+    alone.  The class therefore has (p-1)^(n - components) members.  Only
+    off-diagonal nonzeros change.
     """
     p = field.p
     if p == 2 or n == 1:
-        return tuple(m), 1
+        return bytes(m), 1, True
     support = bytes(_off_diagonal(n)(m)).translate(_NONZERO)
-    edges, positions, components = _support_plan(support, n)
+    edges, positions, components, kept = _support_plan(support, n)
     inv = field.inverse
     t = [1] * n
-    for uv, vu, u, v in edges:
-        y = m[uv]
-        t[v] = t[u] * y % p if y else t[u] * inv[m[vu]] % p
+    for k, u, v, forward in edges:
+        t[v] = t[u] * (m[k] if forward else inv[m[k]]) % p
     out = list(m)
     for k, u, v in positions:
         out[k] = m[k] * t[u] * inv[t[v]] % p
-    return tuple(out), (p - 1) ** (n - components)
+    return bytes(out), (p - 1) ** (n - components), kept
 
 
 def _iter_orbit(start: MatrixFq, allow_large: bool = False):
@@ -436,10 +459,12 @@ def _iter_orbit(start: MatrixFq, allow_large: bool = False):
     T-classes.
 
     Each class is conjugated by I + c*e_12 for every c in F_p^*, in place
-    on a fresh list, and by each swap of ``_swap_conjugations``.  Those
-    transvections lie in B, as T does, so a class first reached from its
-    parent over one lies in the parent's cell BwB; only a class first
-    reached over a swap is eliminated for it: 383 of those 1,506.
+    on a fresh list, and by ``_cycle_conjugation``.  When the class has a
+    kept tree its transvection conjugates are canonical already and of the
+    same size, so they are not canonicalised again.  Those transvections
+    lie in B, as T does, so a class first reached from its parent over one
+    lies in the parent's cell BwB; only a class first reached over the
+    cycle is eliminated for it: 330 of those 1,506.
 
     GL-orbits, not SL-orbits: over the algebraic closure a class is pinned
     down by its Jordan data, and SL(F_p)-orbits may split into pieces that
@@ -454,29 +479,27 @@ def _iter_orbit(start: MatrixFq, allow_large: bool = False):
         )
     units = range(1, p) if n > 1 else ()
     row, rows = range(n), range(0, n * n, n)
-    swaps = _swap_conjugations(n)
-    rep, size = _torus_class(start.entries, n, field)
+    cycle = _cycle_conjugation(n)
+    rep, size, kept = _torus_class(start.entries, n, field)
     seen = {rep}
-    queue = [(rep, size, _pivot_pattern(list(rep), n, p, inv))]
+    queue = [(rep, size, kept, _pivot_pattern(list(rep), n, p, inv))]
     while queue:
-        item = queue.pop()
-        yield item
-        rep, _, cell = item
+        rep, size, kept, cell = queue.pop()
+        yield rep, size, cell
         for c in units:
             m = list(rep)
             for k in row:  # row_0 += c * row_1
                 m[k] = (m[k] + c * m[n + k]) % p
             for b in rows:  # col_1 -= c * col_0
                 m[b + 1] = (m[b + 1] - c * m[b]) % p
-            cls = _torus_class(m, n, field)
+            cls = (bytes(m), size, True) if kept else _torus_class(m, n, field)
             if cls[0] not in seen:
                 seen.add(cls[0])
                 queue.append((*cls, cell))
-        for swap in swaps:
-            cls = _torus_class(swap(rep), n, field)
-            if cls[0] not in seen:
-                seen.add(cls[0])
-                queue.append((*cls, _pivot_pattern(list(cls[0]), n, p, inv)))
+        cls = _torus_class(cycle(rep), n, field)
+        if cls[0] not in seen:
+            seen.add(cls[0])
+            queue.append((*cls, _pivot_pattern(list(cls[0]), n, p, inv)))
 
 
 @dataclass(frozen=True)

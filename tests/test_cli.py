@@ -144,7 +144,7 @@ class TestVerify:
         lines = capsys.readouterr().out.splitlines()
         skip = [line for line in lines if line.startswith("# skipped ascent:")]
         assert len(skip) == 1
-        assert "allow_large=True (CLI: --checks NAME --allow-large)" in skip[0]
+        assert "allow_large=True (CLI: --checks ascent --allow-large)" in skip[0]
 
     def test_refused_named_check_names_the_suite(self, capsys, monkeypatch):
         from bruhatcells import cli

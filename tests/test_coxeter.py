@@ -99,7 +99,7 @@ class TestRootSystem:
             sl_criteria._lower_set,
             oracle._support_plan,
             oracle._off_diagonal,
-            oracle._swap_conjugations,
+            oracle._cycle_conjugation,
             oracle._column_reversal,
             oracle._cycle_type_classes,
         ]

@@ -441,8 +441,8 @@ def _torus_expand(rep, n, field):
     and free elsewhere."""
     p, inv = field.p, field.inverse
     support = bytes(bool(rep[k]) for k in range(n * n) if k % (n + 1))
-    edges, positions, _ = _support_plan(support, n)
-    free = [v for _, _, _, v in edges]
+    edges, positions, _, _ = _support_plan(support, n)
+    free = [v for _, _, v, _ in edges]
     for units in itertools.product(range(1, p), repeat=len(free)):
         t = [1] * n
         for v, x in zip(free, units):
@@ -638,19 +638,41 @@ class TestTorusClassWalk:
         m = data.draw(st.lists(st.integers(0, p - 1), min_size=n * n, max_size=n * n))
         t = data.draw(st.lists(st.integers(1, p - 1), min_size=n, max_size=n))
         before = list(m)
-        rep, size = _torus_class(m, n, field)
-        assert m == before
-        # T-invariant
-        assert _torus_class(_torus_conjugate(m, t, field), n, field) == (rep, size)
+        rep, size, kept = _torus_class(m, n, field)
+        assert m == before and type(rep) is bytes
+        # T-invariant, keys included
+        conj = _torus_conjugate(m, t, field)
+        assert _torus_class(conj, n, field) == (rep, size, kept)
+        assert _torus_class(bytes(conj), n, field) == (rep, size, kept)
         # T-conjugate to its input (scalars act trivially, so t_0 = 1)
         units = range(1, p)
         torus = [(1,) + rest for rest in itertools.product(units, repeat=n - 1)]
-        assert any(_torus_conjugate(m, s, field) == rep for s in torus)
+        assert any(bytes(_torus_conjugate(m, s, field)) == rep for s in torus)
         if n <= 3:
             members = {_torus_conjugate(m, s, field) for s in torus}
             assert size == len(members)
             expanded = list(_torus_expand(rep, n, field))
             assert len(expanded) == size and set(expanded) == members
+
+    @settings(max_examples=200)
+    @given(st.data())
+    def test_kept_tree_survives_transvections(self, data):
+        # A representative whose forest is a kept tree has canonical
+        # I + c*e_12 conjugates of the same size and again with a kept tree,
+        # which is what lets the walk skip canonicalising them.
+        p = data.draw(st.sampled_from([3, 5, 7, 11]))
+        n = data.draw(st.integers(2, 5))
+        field = PrimeField(p)
+        m = data.draw(st.lists(st.integers(0, p - 1), min_size=n * n, max_size=n * n))
+        rep, size, kept = _torus_class(m, n, field)
+        assume(kept)
+        assert size == (p - 1) ** (n - 1)
+        c = data.draw(st.integers(1, p - 1))
+        g = list(MatrixFq.identity(field, n).entries)
+        g_inv = list(g)
+        g[1], g_inv[1] = c, p - c
+        conj = MatrixFq(field, n, g) * MatrixFq(field, n, rep) * MatrixFq(field, n, g_inv)
+        assert _torus_class(conj.entries, n, field) == (bytes(conj.entries), size, True)
 
     def test_walk_visits_fewer_classes_than_matrices(self):
         c = JordanClass(
@@ -662,9 +684,15 @@ class TestTorusClassWalk:
         field = PrimeField(5)
         assert all(cell == _cell_pattern(rep, 3, field) for rep, _, cell in classes)
 
+    @pytest.mark.parametrize("p", [2, 5])
+    def test_scalar_walk(self, p):
+        # At n = 1 the cycle is the identity and there is no transvection.
+        (c,) = field_classes(1, p)
+        assert list(_iter_orbit(jordan_matrix(c, p))) == [(b"\x01", 1, (1,))]
+
     def test_walk_inherits_cells_over_borel_edges(self, monkeypatch):
-        # Only the classes first reached over a swap edge are eliminated for
-        # BwB: 383 of the 1,506, where every class was before.
+        # Only the classes first reached over the cycle edge are eliminated
+        # for BwB: 330 of the 1,506, where every class was before.
         calls = []
 
         def counting(m, n, p, inv):
@@ -676,7 +704,26 @@ class TestTorusClassWalk:
             3, [("a", (1,)), ("b", (1,)), ("c", (1,))], {"a": 1, "b": 2, "c": 3}
         )
         assert len(list(_iter_orbit(jordan_matrix(c, 5)))) == 1506
-        assert len(calls) == len(set(calls)) == 383
+        assert len(calls) == len(set(calls)) == 330
+
+    def test_kept_trees_skip_canonicalisation(self, monkeypatch):
+        # The start and every cycle edge are canonicalised; transvection
+        # edges only from the classes without a kept tree.
+        calls = []
+
+        def counting(m, n, field):
+            calls.append(m)
+            return _torus_class(m, n, field)
+
+        monkeypatch.setattr(oracle, "_torus_class", counting)
+        c = JordanClass(
+            3, [("a", (1,)), ("b", (1,)), ("c", (1,))], {"a": 1, "b": 2, "c": 3}
+        )
+        classes = list(_iter_orbit(jordan_matrix(c, 5)))
+        field = PrimeField(5)
+        kept = [_torus_class(rep, 3, field)[2] for rep, _, _ in classes]
+        assert len(classes) == 1506 and kept.count(False) == 331
+        assert len(calls) == 1 + len(classes) + 4 * kept.count(False) == 2831
 
     @settings(max_examples=200)
     @given(st.data())
