@@ -54,12 +54,15 @@ _VERIFY_CHECKS = {
 }
 
 
-# CPU seconds of `catalog` are about k * rank^5, fitted per family: building
-# the root system reflects every root in every generator, and each printed
-# involution is a reduced word.  Measured (2 vCPUs, Python 3.11): A40 1.2 s,
-# A53 4.0 s, A60 6.7 s; B38 5.3 s, C38 5.5 s, D38 4.0 s, B40 8.5 s.  E, F
-# and G have bounded rank (E8 takes 0.01 s).
-_CATALOG_COST = {"A": 1.1e-8, "B": 6.2e-8, "C": 6.2e-8, "D": 6.2e-8}
+# CPU seconds of `catalog` are at most k * rank^5, k fitted per family as the
+# largest ratio measured: each entry walks to its parabolic longest element,
+# and outside type A each printed involution is a reduced word.  Measured
+# with the root system build, 3-8 runs each (2 vCPUs, Python 3.11): A40
+# 0.21-0.30 s, A53 0.86-1.11 s, A60 1.44-1.94 s, A70 3.0-3.7 s, A80
+# 5.5-6.4 s; B30 1.0-1.6 s, B38 3.4-4.9 s, B40 5.7-6.5 s; C30 1.1-1.7 s,
+# C38 3.3-4.7 s, C40 5.8-6.4 s; D30 0.7-1.0 s, D38 2.6-3.4 s, D40 3.8-4.3 s.
+# E, F and G have bounded rank (E8 takes 0.01 s).
+_CATALOG_COST = {"A": 3.0e-9, "B": 6.9e-8, "C": 6.9e-8, "D": 4.3e-8}
 _CATALOG_LIMIT_S = 5.0
 
 
@@ -350,7 +353,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="which failing checks set a nonzero exit code",
     )
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--allow-large", action="store_true")
+    p.add_argument(
+        "--allow-large",
+        action="store_true",
+        help="walk orbits estimated at more than 10^6 torus classes",
+    )
     p.set_defaults(func=cmd_oracle)
     return parser
 

@@ -66,7 +66,8 @@ STRONG_CONJ_LIMIT = 10**4
 # all of W(E6) (72) and 424.9 over the first 235,088 elements of W(E7)
 # (126).  The line below passes through the D6 and E7 points and lies above
 # the E6 one.  Without the sort the peaks are lower (256.6 for D6, 218.1 for
-# E6), so the line is an upper bound.
+# E6; 256.8 and 218.3 stepping on permutations and wrapping each length
+# level once), so the line is an upper bound.
 ENUMERATION_BYTES_PER_ELEMENT = 118
 ENUMERATION_BYTES_PER_ROOT = 2.44
 
@@ -109,22 +110,23 @@ def enumerate_weyl_group(rs: RootSystem, allow_large: bool = False):
         )
     cached = rs._memo.get("all_elements")
     if cached is None:
-        frontier = [rs.identity]
-        seen = {rs.identity.perm}
+        right, simple, npos = rs._right, tuple(enumerate(rs.simple_index)), rs.npos
+        frontier = [rs.identity.perm]
+        seen = set(frontier)
         out = [rs.identity]
         ell = 0
         while frontier:
             nxt = []
-            for w in frontier:
-                for i in range(rs.rank):
-                    if not rs._has_right_descent(w, i):
-                        v = rs._mul_gen_right(w, i, ell + 1)
-                        if v.perm not in seen:
-                            seen.add(v.perm)
-                            nxt.append(v)
-            out.extend(nxt)
-            frontier = nxt
+            for p in frontier:
+                for i, k in simple:
+                    if p[k] >= npos:
+                        q = right(p, i)
+                        if q not in seen:
+                            seen.add(q)
+                            nxt.append(q)
             ell += 1
+            out.extend(WeylElement(rs, q, ell) for q in nxt)
+            frontier = nxt
         cached = rs._memo["all_elements"] = tuple(out)
     return cached
 
@@ -417,11 +419,10 @@ def property_two(rs: RootSystem, J) -> bool:
     A root of J is isolated when it pairs to zero with every other root of J.
     """
     J = frozenset(J)
-    simple = rs.simple_roots
     dp = delta0_permutation(rs)
 
     def pairing(a, b):
-        return rs.pair(simple[a - 1], simple[b - 1])
+        return rs.pairing[a - 1][b - 1]
 
     for i in J:
         if any(pairing(i, j) != 0 for j in J if j != i):

@@ -220,10 +220,10 @@ class WeylElement:
         return self.rs._mul(perm, perm) == self.rs.identity.perm
 
 
-def _descent(w: WeylElement) -> int | None:
-    """First 0-based j with w(alpha_{j+1}) negative, or None (identity)."""
-    perm, npos = w.perm, w.rs.npos
-    for j, k in enumerate(w.rs.simple_index):
+def _descent(rs: RootSystem, perm) -> int | None:
+    """First 0-based j with w(alpha_{j+1}) negative, w = perm, or None."""
+    npos = rs.npos
+    for j, k in enumerate(rs.simple_index):
         if perm[k] < npos:
             return j
     return None
@@ -255,7 +255,7 @@ def _byte_arithmetic(npos: int, generators):
     def inverse(p):
         return bytes.maketrans(p, identity)[:n_roots]
 
-    return identity, right, mul, times_generator, conjugate, length, inverse
+    return bytes, identity, right, mul, times_generator, conjugate, length, inverse
 
 
 def _tuple_arithmetic(npos: int, generators):
@@ -284,7 +284,7 @@ def _tuple_arithmetic(npos: int, generators):
             out[image] = k
         return tuple(out)
 
-    return identity, tuple(generators), mul, times_generator, conjugate, length, inverse
+    return tuple, identity, generators, mul, times_generator, conjugate, length, inverse
 
 
 class RootSystem:
@@ -302,7 +302,8 @@ class RootSystem:
     B/C2-B/C11, D4-D11), tuples with ``operator.itemgetter`` above.  Both
     answer the same private calls on permutations: ``_mul(p, q)`` (p*q),
     ``_right(p, i)`` (p*s_{i+1}), ``_conj(p, j, i)`` (s_{j+1}*p*s_{i+1}),
-    ``_length(p)`` and ``_inverse(p)``.
+    ``_length(p)``, ``_inverse(p)``, and ``_perm``, the type (``bytes`` or
+    ``tuple``) that makes a permutation from an iterable of root indices.
     """
 
     def __init__(self, cartan_type: CartanType):
@@ -323,20 +324,18 @@ class RootSystem:
         self.simple_roots = tuple(
             tuple(1 if j == i else 0 for j in range(n)) for i in range(n)
         )
-        self.roots = self._generate_roots()
+        self.roots, self.root_index, generators = _roots_and_reflections(
+            self.cartan, self.simple_roots
+        )
         self.positive_roots = tuple(r for r in self.roots if _is_positive(r))
         npos = self.npos = len(self.positive_roots)
         # sorted coordinates put each negative root before every positive one
         if 2 * npos != len(self.roots) or self.roots[npos:] != self.positive_roots:
             raise AssertionError("root generation produced an asymmetric set")
-        self.root_index = {r: k for k, r in enumerate(self.roots)}
         self.simple_index = tuple(self.root_index[a] for a in self.simple_roots)
-        generators = [
-            tuple(self.root_index[self._reflect(i, r)] for r in self.roots)
-            for i in range(n)
-        ]
         arithmetic = _byte_arithmetic if 2 * npos <= 256 else _tuple_arithmetic
         (
+            self._perm,
             identity,
             generators,
             self._mul,
@@ -353,40 +352,11 @@ class RootSystem:
     def __repr__(self):
         return f"RootSystem({self.cartan_type})"
 
-    def _reflect(self, i: int, v) -> tuple[int, ...]:
-        """s_{i+1}(v) for a coordinate vector v; i is 0-based."""
-        c = sum(a * b for a, b in zip(self.cartan[i], v))
-        if not c:
-            return v
-        w = list(v)
-        w[i] -= c
-        return tuple(w)
-
-    def _generate_roots(self):
-        todo = list(self.simple_roots)
-        seen = set(todo)
-        while todo:
-            v = todo.pop()
-            for i in range(self.rank):
-                w = self._reflect(i, v)
-                if w not in seen:
-                    seen.add(w)
-                    todo.append(w)
-        return tuple(sorted(seen))
-
     def pair(self, alpha, beta) -> int:
         """Invariant symmetric bilinear form of two coordinate vectors."""
         n = self.rank
         b = self.pairing
         return sum(alpha[i] * b[i][j] * beta[j] for i in range(n) for j in range(n))
-
-    def _mul_gen_right(self, w: WeylElement, i: int, length=None) -> WeylElement:
-        """w * s_{i+1}; i is 0-based."""
-        return WeylElement(self, self._right(w.perm, i), length)
-
-    def _has_right_descent(self, w: WeylElement, i: int) -> bool:
-        """True when l(w * s_{i+1}) < l(w); i is 0-based."""
-        return w.perm[self.simple_index[i]] < self.npos
 
     @property
     def w0(self) -> WeylElement:
@@ -394,6 +364,33 @@ class RootSystem:
         if "w0" not in self._memo:
             self._memo["w0"] = longest_element(self)
         return self._memo["w0"]
+
+
+def _roots_and_reflections(cartan, simple_roots):
+    """All roots, sorted, their index, and the simple reflections as tuples
+    of root indices, from one closure of the simple roots that records the
+    roots each s_i moves: s_i(v) = v - <v, alpha_i^vee> alpha_i, the pairing
+    summed over the at most four nonzero Cartan integers C[i][j] of row i."""
+    rows = [[(j, c) for j, c in enumerate(row) if c] for row in cartan]
+    roots = list(simple_roots)
+    seen = set(roots)
+    images = [{} for _ in rows]
+    for v in roots:  # grows while it is walked
+        for i, row in enumerate(rows):
+            c = 0
+            for j, a in row:
+                c += a * v[j]
+            if c:
+                w = images[i][v] = v[:i] + (v[i] - c,) + v[i + 1 :]
+                if w not in seen:
+                    seen.add(w)
+                    roots.append(w)
+    roots.sort()
+    index = {r: k for k, r in enumerate(roots)}
+    generators = tuple(
+        tuple(map(index.__getitem__, map(moved.get, roots, roots))) for moved in images
+    )
+    return tuple(roots), index, generators
 
 
 def _is_positive(root) -> bool:
@@ -438,15 +435,17 @@ def longest_element(rs: RootSystem, J=None) -> WeylElement:
     for i in idx:
         if not 0 <= i < rs.rank:
             raise ValueError(f"simple root index {i + 1} out of range 1..{rs.rank}")
-    w = rs.identity
+    right, simple, npos = rs._right, rs.simple_index, rs.npos
+    perm, length = rs.identity.perm, 0
     changed = True
     while changed:
         changed = False
         for i in idx:
-            if not rs._has_right_descent(w, i):
-                w = rs._mul_gen_right(w, i, w._length + 1)
+            if perm[simple[i]] >= npos:
+                perm = right(perm, i)
+                length += 1
                 changed = True
-    return w
+    return WeylElement(rs, perm, length)
 
 
 def bruhat_leq(u: WeylElement, w: WeylElement) -> bool:
@@ -461,21 +460,24 @@ def bruhat_leq(u: WeylElement, w: WeylElement) -> bool:
     if rs is not w.rs:
         raise ValueError("elements belong to different root systems")
     cache = rs._memo.setdefault("bruhat", {})
+    right, simple, npos = rs._right, rs.simple_index, rs.npos
     missed = []
+    u, lu, w, lw = u.perm, u.length, w.perm, w.length
     while True:
-        lu, lw = u.length, w.length
         if lu >= lw:
-            res = u.perm == w.perm
+            res = u == w
             break
-        key = (u.perm, w.perm)
+        key = (u, w)
         res = cache.get(key)
         if res is not None:
             break
         missed.append(key)
-        j = _descent(w)
-        if rs._has_right_descent(u, j):
-            u = rs._mul_gen_right(u, j, lu - 1)
-        w = rs._mul_gen_right(w, j, lw - 1)
+        j = _descent(rs, w)
+        if u[simple[j]] < npos:
+            u = right(u, j)
+            lu -= 1
+        w = right(w, j)
+        lw -= 1
     for key in missed:
         cache[key] = res
     return res
@@ -499,26 +501,25 @@ def delta0_permutation(rs: RootSystem) -> tuple[int, ...]:
 
 def reduced_word(w: WeylElement) -> tuple[int, ...]:
     """A reduced word for w as 1-based simple-reflection indices."""
-    rs = w.rs
+    rs, perm = w.rs, w.perm
     picks = []
-    cur = w
     while True:
-        j = _descent(cur)
+        j = _descent(rs, perm)
         if j is None:
             break
-        cur = rs._mul_gen_right(cur, j)
+        perm = rs._right(perm, j)
         picks.append(j + 1)
     return tuple(reversed(picks))
 
 
 def word_to_element(rs: RootSystem, word) -> WeylElement:
     """Product of the listed simple reflections, left to right."""
-    w = rs.identity
+    perm = rs.identity.perm
     for i in word:
         if not 1 <= i <= rs.rank:
             raise ValueError(f"simple root index {i} out of range 1..{rs.rank}")
-        w = rs._mul_gen_right(w, i - 1)
-    return w
+        perm = rs._right(perm, i - 1)
+    return WeylElement(rs, perm)
 
 
 def element_to_word_str(w: WeylElement) -> str:

@@ -32,6 +32,7 @@ only); ``_eliminate`` also clears columns and serves ``bruhat_factor``.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import product
@@ -86,7 +87,10 @@ DEFAULT_PAIRS = ((2, 3), (2, 5), (2, 7), (3, 2), (3, 3), (3, 5), (4, 2))
 # pairs where the empirical tables match the predicted sets exactly
 COMPLETE_PAIRS = ((2, 5), (2, 7), (3, 5), (3, 7), (4, 3))
 
-ORBIT_LIMIT = 10**7
+# Limit on the T-classes an orbit walk is estimated to visit, 15-20 us each
+# in the walk (2 vCPUs, Python 3.11): the largest estimates are 84,240 at
+# (4, 3), 624,960 at (5, 2) and 21,242 at (3, 11); (4, 5) has 5,667,187.
+ORBIT_LIMIT = 10**6
 _MAX_PRIME = 31
 # Limits on the matrices a walk eliminates, 6-15 us each (2 vCPUs, Python 3.11):
 # census (3, 7) walks 185,193 in 1.1 s of CPU, (4, 3) 2,560,000 in 17 s; the
@@ -316,6 +320,30 @@ def borel_order(n: int, q: int) -> int:
     return (q - 1) ** (n - 1) * q ** (n * (n - 1) // 2)
 
 
+def _centralizer_order(c: JordanClass, q: int) -> int:
+    """|C(g)| in GL(n, F_q) for g with the Jordan data of c and every
+    eigenvalue in F_q: the product over the eigenvalues of
+    a_lambda(q) = q^(sum_j lambda'_j^2) prod_i prod_(k <= m_i) (1 - q^-k),
+    with lambda the block sizes, lambda' its conjugate and m_i the number of
+    blocks of size i (Macdonald, Symmetric Functions and Hall Polynomials,
+    2nd ed., ch. II (1.6))."""
+    order = 1
+    for e in c.eigen_data:
+        conjugate = [sum(b >= j for b in e.blocks) for j in range(1, e.blocks[0] + 1)]
+        counts = Counter(e.blocks).values()
+        power = sum(x * x for x in conjugate) - sum(m * (m + 1) // 2 for m in counts)
+        order *= q**power
+        for m in counts:
+            for k in range(1, m + 1):
+                order *= q**k - 1
+    return order
+
+
+def _orbit_size(c: JordanClass, q: int) -> int:
+    """The number of matrices in the GL(n, F_q)-conjugacy class of c."""
+    return gl_order(c.n_plus_1, q) // _centralizer_order(c, q)
+
+
 def jordan_matrix(c: JordanClass, p: int) -> MatrixFq:
     """Block-diagonal Jordan representative over F_p.
 
@@ -451,7 +479,7 @@ def _torus_class(m, n: int, field: PrimeField):
     return bytes(out), (p - 1) ** (n - components), kept
 
 
-def _iter_orbit(start: MatrixFq, allow_large: bool = False):
+def _iter_orbit(start: MatrixFq):
     """Depth-first walk of the GL(n)-conjugation orbit of start, one
     T-conjugacy class at a time: yields (canonical entries, class size,
     BwB cell pattern) per class, see ``_torus_class``.  Over F_5 the orbit
@@ -472,11 +500,6 @@ def _iter_orbit(start: MatrixFq, allow_large: bool = False):
     """
     n, field = start.n, start.field
     p, inv = field.p, field.inverse
-    if sl_order(n, p) > ORBIT_LIMIT and not allow_large:
-        raise GuardError(
-            f"|SL({n}, F_{p})| = {sl_order(n, p)} exceeds {ORBIT_LIMIT}; "
-            "pass allow_large=True to force it (CLI: --allow-large)"
-        )
     units = range(1, p) if n > 1 else ()
     row, rows = range(n), range(0, n * n, n)
     cycle = _cycle_conjugation(n)
@@ -527,14 +550,26 @@ def intersection_table(
     of the GL(n)-orbit, and decompose each representative in BwB^-.  Both
     cell systems are invariant under T-conjugation (t in B on the left,
     t^-1 in B and in B^- on the right), so the representatives meet the
-    same cells as the whole orbit."""
+    same cells as the whole orbit.
+
+    The walk is refused when its estimated T-classes, the orbit size over
+    the (p-1)^(n-1) members of a class with a connected support, exceed
+    ORBIT_LIMIT, unless allow_large."""
     start = jordan_matrix(c, p)
     n, field = start.n, start.field
+    orbit = _orbit_size(c, p)
+    t_classes = orbit // (p - 1) ** (n - 1)
+    if t_classes > ORBIT_LIMIT and not allow_large:
+        raise GuardError(
+            f"the orbit of {c.describe()} in GL({n}, F_{p}) has {orbit:,} matrices, "
+            f"about {t_classes:,} T-classes to walk, above the limit of "
+            f"{ORBIT_LIMIT:,}; pass allow_large=True to force it (CLI: --allow-large)"
+        )
     w0 = Permutation.longest(n)
     cells = set()
     opposite = set()
     size = 0
-    for ent, members, cell in _iter_orbit(start, allow_large):
+    for ent, members, cell in _iter_orbit(start):
         size += members
         cells.add(cell)
         opposite.add(_opposite_pattern(ent, n, field))

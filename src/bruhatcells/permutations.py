@@ -16,7 +16,7 @@ import re
 from bisect import insort
 from itertools import permutations as _permutations
 
-from .coxeter import RootSystem, WeylElement, reduced_word
+from .coxeter import RootSystem, WeylElement
 
 __all__ = [
     "Permutation",
@@ -125,14 +125,6 @@ class Permutation:
         return cls(range(1, n + 1))
 
     @classmethod
-    def transposition(cls, n: int, a: int, b: int) -> "Permutation":
-        if not (1 <= a <= n and 1 <= b <= n and a != b):
-            raise ValueError(f"bad transposition ({a} {b}) in S_{n}")
-        im = list(range(1, n + 1))
-        im[a - 1], im[b - 1] = b, a
-        return cls(im)
-
-    @classmethod
     def longest(cls, n: int) -> "Permutation":
         """The order-reversing permutation, the longest element of S_n."""
         return cls(range(n, 0, -1))
@@ -220,33 +212,37 @@ def bruhat_leq_perm(u: Permutation, w: Permutation) -> bool:
     return True
 
 
+def _type_a_roots(rs: RootSystem):
+    """Memoised for W(A_n): the pair (a, b), 0-based, with roots[k] =
+    e_a - e_b for each root index k, and the index of each pair.  In the
+    simple-root basis e_a - e_b (a < b) is alpha_{a+1} + ... + alpha_b,
+    ones at coordinates a..b-1."""
+    table = rs._memo.get("type_a_roots")
+    if table is None:
+        pairs = []
+        for r in rs.roots:  # r = +-(e_a - e_b), b - a = |sum(r)|
+            a, s = next(j for j, x in enumerate(r) if x), sum(r)
+            pairs.append((a, a + s) if s > 0 else (a - s, a))
+        table = rs._memo["type_a_roots"] = (pairs, {ab: k for k, ab in enumerate(pairs)})
+    return table
+
+
 def permutation_to_weyl(rs: RootSystem, w: Permutation) -> WeylElement:
-    """Image of w under S_{n+1} ~ W(A_n), sending (i, i+1) to s_i."""
+    """Image of w under S_{n+1} ~ W(A_n), sending (i, i+1) to s_i: the
+    element that maps e_a - e_b to e_w(a) - e_w(b)."""
     if rs.cartan_type.family != "A" or rs.rank != w.degree - 1:
         raise ValueError(f"{rs.cartan_type} does not match S_{w.degree}")
-    im = list(w.images)
-    word = []
-    # bubble sort by right descents; the word read backwards multiplies to w
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(im) - 1):
-            if im[i] > im[i + 1]:
-                im[i], im[i + 1] = im[i + 1], im[i]
-                word.append(i)
-                changed = True
-    out = rs.identity
-    for i in reversed(word):
-        out = rs._mul_gen_right(out, i)
-    return out
+    pairs, index = _type_a_roots(rs)
+    im = [i - 1 for i in w.images]
+    return WeylElement(rs, rs._perm(index[im[a], im[b]] for a, b in pairs))
 
 
 def weyl_to_permutation(w: WeylElement) -> Permutation:
-    """Inverse of ``permutation_to_weyl`` via a reduced word."""
-    if w.rs.cartan_type.family != "A":
-        raise ValueError(f"{w.rs.cartan_type} is not of type A")
-    n = w.rs.rank + 1
-    out = Permutation.identity(n)
-    for i in reduced_word(w):
-        out = out * Permutation.transposition(n, i, i + 1)
-    return out
+    """Inverse of ``permutation_to_weyl``, read off the simple-root images:
+    w(alpha_i) = e_w(i) - e_w(i+1)."""
+    rs = w.rs
+    if rs.cartan_type.family != "A":
+        raise ValueError(f"{rs.cartan_type} is not of type A")
+    pairs = _type_a_roots(rs)[0]
+    images = [pairs[w.perm[k]] for k in rs.simple_index]
+    return Permutation([a + 1 for a, _ in images] + [images[-1][1] + 1])

@@ -25,6 +25,7 @@ from bruhatcells.conjugacy import enumerate_weyl_group
 from bruhatcells.oracle import (
     COMPLETE_PAIRS,
     DEFAULT_PAIRS,
+    _orbit_size,
     borel_order,
     cell_size_census,
     field_classes,
@@ -65,14 +66,19 @@ def announce(name, ok, detail=""):
 @pytest.fixture(scope="module")
 def oracle_tables():
     """Intersection tables for every class at every default and every
-    COMPLETE (n, q) pair; |SL(4, F_3)| is above the orbit guard."""
+    COMPLETE (n, q) pair, all within the orbit guard."""
     tables = {}
     for n, q in dict.fromkeys(DEFAULT_PAIRS + COMPLETE_PAIRS):
-        tables[(n, q)] = [
-            (c, intersection_table(c, q, allow_large=True))
-            for c in field_classes(n, q)
-        ]
+        tables[(n, q)] = [(c, intersection_table(c, q)) for c in field_classes(n, q)]
     return tables
+
+
+def test_orbit_size_formula(oracle_tables):
+    """|GL(n, F_q)| / |C(g)|, with |C(g)| from the Jordan data (Macdonald),
+    is the number of matrices the orbit walk counts, for every class."""
+    for (n, q), rows in oracle_tables.items():
+        for c, table in rows:
+            assert _orbit_size(c, q) == table.orbit_size, (n, q, c.describe())
 
 
 def test_criterion_1_unique_max_classification():

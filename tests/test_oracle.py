@@ -500,10 +500,21 @@ class TestGeometricOrbits:
         # SL-conjugation may only see part of a GL orbit; here it is all of it
         assert regrown <= orbit
 
-    def test_guard(self):
+    def test_guard(self, monkeypatch):
+        # about 5,667,187 T-classes; the refusal comes before the walk
+        def no_walk(*args):
+            raise AssertionError("the orbit walk started")
+
+        monkeypatch.setattr(oracle, "_iter_orbit", no_walk)
+        eigen_data = [("a", (1,)), ("b", (1,)), ("c", (2,))]
+        c = JordanClass(4, eigen_data, {"a": 2, "b": 3, "c": 4})
+        with pytest.raises(GuardError, match="5,667,187 T-classes"):
+            intersection_table(c, 5)
+
+    def test_guard_sizes_the_orbit_not_the_group(self):
+        # |SL(4, F_7)| is about 4.6 * 10^12; this orbit has 136,800 matrices
         c = JordanClass(4, [("u", (2, 1, 1))], {"u": 1})
-        with pytest.raises(GuardError):
-            intersection_table(c, 7)
+        assert intersection_table(c, 7).orbit_size == 136800
 
 
 class TestIntersectionTables:

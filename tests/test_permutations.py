@@ -1,14 +1,20 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bruhatcells.coxeter import build_root_system, bruhat_leq
+from bruhatcells.coxeter import (
+    build_root_system,
+    bruhat_leq,
+    reduced_word,
+    word_to_element,
+)
 from bruhatcells.permutations import (
     Permutation,
     all_permutations,
     bruhat_leq_perm,
     involutions,
     permutation_to_weyl,
+    weyl_to_permutation,
 )
 
 
@@ -64,3 +70,50 @@ class TestBruhatLeqPerm:
     def test_degree_mismatch_rejected(self):
         with pytest.raises(ValueError):
             bruhat_leq_perm(Permutation.identity(2), Permutation.identity(3))
+
+
+def ref_permutation_to_weyl(rs, w):
+    """The bridge through a reduced word: bubble sort w by right descents;
+    the swaps read backwards spell w in the adjacent transpositions."""
+    im = list(w.images)
+    word = []
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(im) - 1):
+            if im[i] > im[i + 1]:
+                im[i], im[i + 1] = im[i + 1], im[i]
+                word.append(i + 1)
+                changed = True
+    return word_to_element(rs, word[::-1])
+
+
+def ref_weyl_to_permutation(w):
+    """The product of the transpositions (i, i+1) along a reduced word."""
+    n = w.rs.rank + 1
+    out = Permutation.identity(n)
+    for i in reduced_word(w):
+        out = out * Permutation.from_cycles(n, [(i, i + 1)])
+    return out
+
+
+class TestTypeABridge:
+    """The bridge reads root images; the references walk reduced words.
+    From S_17 on, W(A_n) has more than 256 roots and tuple permutations."""
+
+    @settings(max_examples=200)
+    @given(st.integers(2, 30).flatmap(perms))
+    @example(Permutation.longest(17))
+    @example(Permutation.longest(30))
+    def test_matches_the_word_reference(self, w):
+        rs = build_root_system(f"A{w.degree - 1}")
+        x = permutation_to_weyl(rs, w)
+        assert x == ref_permutation_to_weyl(rs, w)
+        assert x.length == w.inversions()
+        assert weyl_to_permutation(x) == ref_weyl_to_permutation(x) == w
+
+    def test_other_types_rejected(self):
+        with pytest.raises(ValueError):
+            permutation_to_weyl(build_root_system("A3"), Permutation.identity(3))
+        with pytest.raises(ValueError):
+            weyl_to_permutation(build_root_system("B3").w0)

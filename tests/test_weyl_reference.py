@@ -198,3 +198,41 @@ def test_bruhat_order_is_the_subword_order(name):
             below |= {ref_times_generator(rs.cartan, r, i - 1) for r in below}
         for u in group:
             assert bruhat_leq(u, w) == (u.rows in below), (u, w)
+
+
+def ref_roots_and_generators(rs):
+    """The two-pass construction: close the simple roots under full-length
+    reflections, then reflect every root in every generator again."""
+
+    def reflect(i, v):
+        c = sum(a * b for a, b in zip(rs.cartan[i], v))
+        w = list(v)
+        w[i] -= c
+        return tuple(w)
+
+    todo = list(rs.simple_roots)
+    seen = set(todo)
+    while todo:
+        v = todo.pop()
+        for i in range(rs.rank):
+            w = reflect(i, v)
+            if w not in seen:
+                seen.add(w)
+                todo.append(w)
+    roots = tuple(sorted(seen))
+    index = {r: k for k, r in enumerate(roots)}
+    return roots, [tuple(index[reflect(i, r)] for r in roots) for i in range(rs.rank)]
+
+
+@pytest.mark.parametrize(
+    "name",
+    [f"A{n}" for n in range(1, 21)]
+    + [f"{f}{n}" for f in "BC" for n in range(2, 13)]
+    + [f"D{n}" for n in range(4, 13)]
+    + ["E6", "E7", "E8", "F4", "G2"],
+)
+def test_generators_match_the_two_pass_reference(name):
+    rs = build_root_system(name)
+    roots, generators = ref_roots_and_generators(rs)
+    assert rs.roots == roots
+    assert [tuple(s.perm) for s in rs.simple_reflections] == generators
