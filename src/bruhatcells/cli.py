@@ -256,6 +256,8 @@ def cmd_hasse(args) -> int:
 def cmd_oracle(args) -> int:
     try:
         c = _load_jordan(args.jordan)
+        # validate_class needs the lower set: its degree guard refuses first
+        bruhat_lower_set(c)
         table = intersection_table(c, args.q, allow_large=args.allow_large)
     except (OSError, ValueError, KeyError, json.JSONDecodeError, GuardError) as exc:
         return _fail_usage(str(exc))

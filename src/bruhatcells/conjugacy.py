@@ -372,17 +372,17 @@ def _strongly_linked(rs: RootSystem, t, centralizer, u, v) -> bool:
     return False
 
 
-def _strong_component(rs: RootSystem, u0) -> set:
-    """The perms that strong-conjugation chains link to u0, by a search over
-    the members of u0's class with u0's length.
+def _strong_component(rs: RootSystem, stratum) -> set:
+    """The perms that strong-conjugation chains link to u0 = stratum[0], by
+    a search over stratum, the perms of u0's class with u0's length.
 
     The relation is symmetric: when x is a strong step from u to v, x^-1 is
     one from v to u, with the two length conditions swapped.  So each pair
     is tested at most once.
     """
+    u0 = stratum[0]
     t, centralizer = _conjugator_cosets(rs, u0)
-    lu = rs._length(u0)
-    unseen = [v for v in t if v != u0 and rs._length(v) == lu]
+    unseen = list(stratum[1:])
     reached = {u0}
     todo = [u0]
     while todo and unseen:
@@ -441,26 +441,19 @@ def property_two(rs: RootSystem, J) -> bool:
 
 def subsets_with_property_one(rs: RootSystem) -> frozenset[frozenset[int]]:
     """All subsets of the simple roots with Property (1)."""
-    return _filtered_subsets(rs, require_two=False)
+    _rank_guard(rs.rank)
+    cached = rs._memo.get("subsets")
+    if cached is None:
+        cached = rs._memo["subsets"] = frozenset(
+            J for J in _subsets(rs.rank) if property_one(rs, J)
+        )
+    return cached
 
 
 def classifying_subsets(rs: RootSystem) -> frozenset[frozenset[int]]:
     """All subsets with both properties; these classify the unique-maximal
     involutions via J |-> w0 * w0J."""
-    return _filtered_subsets(rs, require_two=True)
-
-
-def _filtered_subsets(rs, require_two):
-    key = ("subsets", require_two)
-    _rank_guard(rs.rank)
-    cached = rs._memo.get(key)
-    if cached is None:
-        cached = rs._memo[key] = frozenset(
-            J
-            for J in _subsets(rs.rank)
-            if property_one(rs, J) and (not require_two or property_two(rs, J))
-        )
-    return cached
+    return frozenset(J for J in subsets_with_property_one(rs) if property_two(rs, J))
 
 
 def subset_involution(rs: RootSystem, J) -> WeylElement:
@@ -728,7 +721,7 @@ def verify_ascent_classes(t, allow_large: bool = False) -> Report:
         )
         # strong-conjugation connectivity on the maximal stratum
         if len(c.max_length) > 1:
-            linked = _strong_component(rs, c.max_length[0].perm)
+            linked = _strong_component(rs, [w.perm for w in c.max_length])
             rep.require(
                 subject,
                 f"{label} maxima-strongly-linked",

@@ -26,8 +26,8 @@ checks count over torus cosets: ``cell_size_census`` eliminates one
 matrix per left T-coset, and ``coset_product_report`` walks U^- in place
 of B^- = T U^-.
 
-Cells and determinants come from ``_pivot_pattern`` (row operations
-only); ``_eliminate`` also clears columns and serves ``bruhat_factor``.
+Cells, determinants and Bruhat factorisations all come from one row
+reduction, ``_pivot_pattern``.
 """
 
 from __future__ import annotations
@@ -185,59 +185,17 @@ class MatrixFq:
         return self._det
 
 
-def _eliminate(m, n, field, b1, b2):
-    """The factoring path, for ``bruhat_factor`` only: reduce the invertible
-    matrix m (a flat row-major list, in place) to a monomial matrix by
-    clearing above pivots with row operations and right of pivots with
-    column operations, both triangular.  Returns sigma with
-    sigma[j] = pivot row of column j (1-based).  Also updates the flat
-    identity lists b1 and b2 so that the input equals b1 * m * b2."""
-    p = field.p
-    inv = field.inverse
-    claimed = [False] * n
-    sigma = [0] * n
-    for j in range(n):
-        piv = -1
-        for i in range(n - 1, -1, -1):
-            if not claimed[i] and m[i * n + j]:
-                piv = i
-                break
-        if piv < 0:
-            raise ValueError("singular matrix")
-        claimed[piv] = True
-        sigma[j] = piv + 1
-        pbase = piv * n
-        pinv = inv[m[pbase + j]]
-        for i in range(piv):
-            a = m[i * n + j]
-            if a:
-                f = a * pinv % p
-                ibase = i * n
-                # the pivot row is zero left of column j
-                for k in range(j, n):
-                    m[ibase + k] = (m[ibase + k] - f * m[pbase + k]) % p
-                # b1 := b1 * (I + f e_{i,piv})
-                for r in range(0, n * n, n):
-                    b1[r + piv] = (b1[r + piv] + f * b1[r + i]) % p
-        for k in range(j + 1, n):
-            a = m[pbase + k]
-            if a:
-                f = a * pinv % p
-                for i2 in range(n):
-                    b = i2 * n
-                    m[b + k] = (m[b + k] - f * m[b + j]) % p
-                # b2 := (I + f e_{j,k}) * b2
-                for c in range(n):
-                    b2[j * n + c] = (b2[j * n + c] + f * b2[k * n + c]) % p
-    return tuple(sigma)
-
-
 def _pivot_pattern(m, n, p, inv):
-    """The sigma of ``_eliminate`` from its row operations on unclaimed rows
-    alone; m (a flat list) changes in place, ValueError if it is singular.
-    A column operation at column j changes only rows nonzero there: after
-    the row pass, the pivot row and claimed rows, never pivots again.  Each
-    pivot row stays as claimed, zero left of its pivot."""
+    """Row-reduce the invertible matrix m (a flat row-major list, in place)
+    and return sigma, sigma[j] the 1-based row of the pivot of column j;
+    ValueError if m is singular.  Column by column, the pivot is the lowest
+    unclaimed row nonzero there, and multiples of it are subtracted from the
+    unclaimed rows above it.  These row operations are upper unitriangular,
+    so they leave r = b^-1 * g for the input g and some upper unitriangular
+    b.  Row sigma(j) of r is zero left of its pivot at column j, so g lies
+    in BwB for w = sigma.  A row operation at column j does not write
+    column j, so the entries that m holds left of a pivot are stale and
+    must not be read."""
     free = list(range(0, n * n, n))  # unclaimed row offsets
     sigma = [0] * n
     for j in range(n):
@@ -259,11 +217,6 @@ def _pivot_pattern(m, n, p, inv):
     return tuple(sigma)
 
 
-def _cell_pattern(entries, n, field):
-    """Pivot pattern of an invertible matrix, see ``_pivot_pattern``."""
-    return _pivot_pattern(list(entries), n, field.p, field.inverse)
-
-
 @lru_cache(maxsize=8)
 def _column_reversal(n: int):
     """Flat indices that read an n x n matrix with its columns reversed."""
@@ -279,23 +232,39 @@ def _opposite_pattern(entries, n, field):
 
 def bruhat_cell(g: MatrixFq) -> Permutation:
     """The unique w with g in BwB, for B the upper-triangular subgroup."""
-    return Permutation(_cell_pattern(g.entries, g.n, g.field))
+    field = g.field
+    return Permutation(_pivot_pattern(list(g.entries), g.n, field.p, field.inverse))
 
 
 def bruhat_factor(g: MatrixFq):
-    """Factor g = b1 * m * b2 with b1, b2 upper triangular and m monomial;
-    returns (b1, m, b2, w)."""
-    n = g.n
-    m = list(g.entries)
-    b1 = [1 if i == j else 0 for i in range(n) for j in range(n)]
-    b2 = list(b1)
-    sigma = _eliminate(m, n, g.field, b1, b2)
-    return (
-        MatrixFq(g.field, n, b1),
-        MatrixFq(g.field, n, m),
-        MatrixFq(g.field, n, b2),
-        Permutation(sigma),
-    )
+    """Factor g = b1 * m * b2 with b1, b2 upper unitriangular and m monomial
+    with its nonzeros at (w(j), j); returns (b1, m, b2, w).  The factors
+    prove that g lies in BwB, since the cells are disjoint (Borel, Linear
+    Algebraic Groups, 2nd ed., 14.12).
+
+    The row pass of ``_pivot_pattern`` leaves r = b1^-1 * g = m * b2, so
+    m holds the pivots r[sigma(j), j], and row j of b2 is row sigma(j) of
+    r from column j on, divided by its pivot; the stale entries left of
+    the pivot are not read.  Then b1 = g * b2^-1 * m^-1, with the
+    unitriangular b2 inverted by back substitution."""
+    n, field = g.n, g.field
+    p, inv = field.p, field.inverse
+    r = list(g.entries)
+    sigma = _pivot_pattern(r, n, p, inv)
+    m, m_inv, b2, b2_inv = ([0] * (n * n) for _ in range(4))
+    for j, i in enumerate(sigma):
+        base = (i - 1) * n
+        pivot = r[base + j]
+        m[base + j], m_inv[j * n + i - 1] = pivot, inv[pivot]
+        for k in range(j, n):
+            b2[j * n + k] = r[base + k] * inv[pivot] % p
+    for i in reversed(range(n)):
+        for k in range(i, n):
+            rest = sum(b2[i * n + t] * b2_inv[t * n + k] for t in range(i + 1, k + 1))
+            b2_inv[i * n + k] = ((i == k) - rest) % p
+    m, b2 = MatrixFq(field, n, m), MatrixFq(field, n, b2)
+    b1 = g * MatrixFq(field, n, b2_inv) * MatrixFq(field, n, m_inv)
+    return b1, m, b2, Permutation(sigma)
 
 
 def opposite_bruhat_cell(g: MatrixFq) -> Permutation:
@@ -704,13 +673,13 @@ def validate_class(
     membership); COMPLETE checks assert the empirical sets equal the
     predicted ones and are expected to hold at the COMPLETE_PAIRS sizes.
     """
+    lower = bruhat_lower_set(c)  # its degree guard refuses before the walk
     if table is None:
         table = intersection_table(c, p)
     n = c.n_plus_1
     rep = Report(f"class checks SL({n}) {c.describe()} p={p}")
     subject = f"SL({n}) {c.describe()} q={p}"
     m_c = dense_cell_involution(c)
-    lower = bruhat_lower_set(c)
     blocks = block_sum_partition(c)
     cells = table.cells
     opposite = table.opposite_cells

@@ -385,6 +385,24 @@ class TestOracle:
         assert data["orbit_size"] == 1040
         assert data["complete_pair"] is True
 
+    @pytest.mark.parametrize("blocks", [[1] * 9, [2] + [1] * 7])
+    def test_degree_guard_refuses_before_the_walk(
+        self, jordan_file, capsys, monkeypatch, blocks
+    ):
+        # The orbit guard admits both classes at q = 2 (1 and 130,305
+        # matrices), but the checks need the Bruhat lower set, refused
+        # past degree 8.
+        from bruhatcells import oracle
+
+        def no_walk(start):
+            raise AssertionError("the orbit walk started")
+
+        monkeypatch.setattr(oracle, "_iter_orbit", no_walk)
+        eigen_data = [{"label": "u", "blocks": blocks}]
+        path = jordan_file({"n_plus_1": 9, "eigen_data": eigen_data, "values": {"u": 1}})
+        assert main(["oracle", "--jordan", path, "--q", "2"]) == 2
+        assert "degree 9 > 8" in capsys.readouterr().err
+
 
 class TestViolationExitCode:
     """Exit code 1 is unreachable on honest runs (the checks hold), so the

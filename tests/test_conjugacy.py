@@ -232,6 +232,12 @@ class TestAscent:
                 assert any(ascent_reachable(w, m) for m in top)
 
 
+def same_length_stratum(rs, u):
+    """u, then the other members of its class with its length."""
+    t = _conjugator_cosets(rs, u)[0]
+    return [u] + [v for v in t if v != u and rs._length(v) == rs._length(u)]
+
+
 class TestStrongConjugation:
     def test_reflexive_via_identity(self):
         rs = build_root_system("A2")
@@ -242,20 +248,23 @@ class TestStrongConjugation:
     def test_length_mismatch_fails(self):
         rs = build_root_system("A2")
         s1 = simple_reflection(rs, 1)
-        assert rs.w0.perm not in _strong_component(rs, s1.perm)
+        stratum = same_length_stratum(rs, s1.perm)
+        assert rs.w0.perm not in _strong_component(rs, stratum)
 
     def test_links_equal_length_maxima(self):
         rs = build_root_system("A2")
         s1, s2 = rs.simple_reflections
-        assert (s2 * s1).perm in _strong_component(rs, (s1 * s2).perm)
+        stratum = same_length_stratum(rs, (s1 * s2).perm)
+        assert (s2 * s1).perm in _strong_component(rs, stratum)
 
     @pytest.mark.parametrize("name", ["A2", "B2", "A3", "B3"])
     def test_maxima_pairwise_linked(self, name):
         rs = build_root_system(name)
         for c in conjugacy_classes(rs):
-            tops = {u.perm for u in c.max_length}
+            tops = [u.perm for u in c.max_length]
             for u in tops:
-                assert _strong_component(rs, u) == tops
+                stratum = [u] + [v for v in tops if v != u]
+                assert _strong_component(rs, stratum) == set(tops)
 
 
 class TestInvolutionClasses:
@@ -289,6 +298,8 @@ class TestInvolutionClasses:
         (enumerate_weyl_group, "all_elements", "E8", "696729600"),
         (conjugacy_classes, "conj_classes", "E8", "696729600"),
         (involution_classes, "inv_classes", "A10", "rank 10 > 9"),
+        (subsets_with_property_one, "subsets", "A10", "rank 10 > 9"),
+        (classifying_subsets, "subsets", "A10", "rank 10 > 9"),
     ],
 )
 def test_guard_verdict_does_not_depend_on_the_memo(function, key, name, refusal):
@@ -387,6 +398,20 @@ class TestProperties:
         for name in ["A4", "B3", "D4", "F4", "G2"]:
             rs = build_root_system(name)
             assert classifying_subsets(rs) <= subsets_with_property_one(rs)
+
+    def test_property_one_runs_once_per_subset(self, monkeypatch):
+        # classifying_subsets filters the memoised Property (1) subsets
+        calls = []
+
+        def counting(rs, J):
+            calls.append(J)
+            return property_one(rs, J)
+
+        monkeypatch.setattr(conjugacy, "property_one", counting)
+        rs = RootSystem(CartanType.from_string("E6"))
+        assert classifying_subsets(rs) <= subsets_with_property_one(rs)
+        assert classifying_subsets(rs) == catalog_subsets("E6")
+        assert len(calls) == 2**6
 
 
 class TestSubsetInvolutionMaps:

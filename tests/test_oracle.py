@@ -29,8 +29,6 @@ from bruhatcells.oracle import (
 )
 from bruhatcells.oracle import (
     DEFAULT_PAIRS,
-    _cell_pattern,
-    _eliminate,
     _iter_orbit,
     _opposite_pattern,
     _pivot_pattern,
@@ -97,6 +95,25 @@ def w0_monomial(n, field):
 def is_upper_triangular(m):
     n = m.n
     return all(m.entries[i * n + j] == 0 for i in range(n) for j in range(i))
+
+
+def is_upper_unitriangular(m):
+    diagonal = m.entries[:: m.n + 1]
+    return is_upper_triangular(m) and all(d == 1 for d in diagonal)
+
+
+def factored_cell(g):
+    """The w of ``bruhat_factor(g)``, once its factors are checked against
+    the defining property: g = b1 * m * b2 with b1, b2 upper unitriangular
+    and m monomial with its nonzeros at (w(j), j).  The cells BwB are
+    disjoint, so such factors prove that g lies in BwB."""
+    b1, mono, b2, w = bruhat_factor(g)
+    n = g.n
+    assert is_upper_unitriangular(b1) and is_upper_unitriangular(b2)
+    nonzero = [k for k, x in enumerate(mono.entries) if x]
+    assert nonzero == sorted((w(j + 1) - 1) * n + j for j in range(n))
+    assert b1 * mono * b2 == g
+    return w
 
 
 def random_invertible(rng, field, n):
@@ -205,19 +222,7 @@ class TestBruhatDecomposition:
         rng = random.Random(n * 100 + p)
         for _ in range(100):
             g = random_invertible(rng, f, n)
-            b1, mono, b2, w = bruhat_factor(g)
-            assert is_upper_triangular(b1) and is_upper_triangular(b2)
-            assert b1 * mono * b2 == g
-            nonzero = [
-                (i, j)
-                for i in range(n)
-                for j in range(n)
-                if mono.entries[i * n + j]
-            ]
-            assert sorted(j for _, j in nonzero) == list(range(n))
-            assert sorted(i for i, _ in nonzero) == list(range(n))
-            assert all(i == w(j + 1) - 1 for i, j in nonzero)
-            assert bruhat_cell(g) == w
+            assert bruhat_cell(g) == factored_cell(g)
 
     @settings(max_examples=300)
     @given(st.data())
@@ -298,38 +303,35 @@ class TestOppositeCells:
     @given(invertible_matrices())
     def test_row_reversal_matches_w0_product(self, g):
         n, field = g.n, g.field
-        assert _opposite_pattern(g.entries, n, field) == _cell_pattern(
-            (g * w0_monomial(n, field)).entries, n, field
-        )
+        expected = bruhat_cell(g * w0_monomial(n, field)).images
+        assert _opposite_pattern(g.entries, n, field) == expected
 
 
 def _column_reversed(entries, n):
     return [entries[i + n - 1 - j] for i in range(0, n * n, n) for j in range(n)]
 
 
-def _factored_sigma(entries, n, field):
-    """The sigma that ``bruhat_factor`` returns, without building matrices."""
-    b1 = [1 if i == j else 0 for i in range(n) for j in range(n)]
-    return _eliminate(list(entries), n, field, b1, list(b1))
-
-
 class TestPivotPatternMatchesFactoring:
-    """The row-operation kernel behind ``_cell_pattern``,
-    ``_opposite_pattern`` and ``det`` against the factoring path of
-    ``bruhat_factor``, which also runs the column operations, and against
-    the Leibniz formula."""
+    """The row-operation kernel behind ``bruhat_cell``, ``_opposite_pattern``
+    and ``det`` against Bruhat factorisations checked by their defining
+    property, and against the Leibniz formula."""
 
     @pytest.mark.parametrize("n,p", [(3, 3), (2, 7), (4, 2)])
     def test_patterns_on_the_whole_group(self, n, p):
         # Where reversing the columns keeps the determinant (n = 4, or
-        # p = 2), a reversed matrix is in the group and its sigma is looked
+        # p = 2), a reversed matrix is in the group and its cell is looked
         # up.
         field = PrimeField(p)
-        factored = {ent: _factored_sigma(ent, n, field) for ent in sl_elements(n, p)}
-        for ent, sigma in factored.items():
-            assert _cell_pattern(ent, n, field) == sigma
+        factored = {}
+        for ent in sl_elements(n, p):
+            g = MatrixFq(field, n, ent)
+            factored[ent] = factored_cell(g).images
+            assert bruhat_cell(g).images == factored[ent]
+        for ent in factored:
             flipped = tuple(_column_reversed(ent, n))
-            expected = factored.get(flipped) or _factored_sigma(flipped, n, field)
+            expected = factored.get(flipped)
+            if expected is None:
+                expected = factored_cell(MatrixFq(field, n, flipped)).images
             assert _opposite_pattern(ent, n, field) == expected
 
     def test_det_matches_leibniz_on_all_of_m3_f3(self):
@@ -352,9 +354,9 @@ class TestPivotPatternMatchesFactoring:
         )
         g = MatrixFq(field, n, ent)
         assume(g.det() != 0)
-        assert _cell_pattern(ent, n, field) == bruhat_factor(g)[3].images
+        assert bruhat_cell(g) == factored_cell(g)
         flipped = MatrixFq(field, n, _column_reversed(ent, n))
-        assert _opposite_pattern(ent, n, field) == bruhat_factor(flipped)[3].images
+        assert _opposite_pattern(ent, n, field) == factored_cell(flipped).images
 
 
 class TestCellCensus:
@@ -374,7 +376,7 @@ class TestCellCensus:
         # eliminates every element of the group
         field = PrimeField(p)
         cells = collections.Counter(
-            Permutation(_cell_pattern(ent, n, field)) for ent in sl_elements(n, p)
+            bruhat_cell(MatrixFq(field, n, ent)) for ent in sl_elements(n, p)
         )
         assert cell_size_census(n, p) == dict(cells)
 
@@ -511,6 +513,17 @@ class TestGeometricOrbits:
         with pytest.raises(GuardError, match="5,667,187 T-classes"):
             intersection_table(c, 5)
 
+    def test_validate_class_refuses_degree_nine_before_the_walk(self, monkeypatch):
+        # the orbit guard admits the central class, but the checks need the
+        # Bruhat lower set, refused past degree 8
+        def no_walk(*args):
+            raise AssertionError("the orbit walk started")
+
+        monkeypatch.setattr(oracle, "_iter_orbit", no_walk)
+        c = JordanClass(9, [("u", (1,) * 9)], {"u": 1})
+        with pytest.raises(GuardError, match="degree 9 > 8"):
+            validate_class(c, 2)
+
     def test_guard_sizes_the_orbit_not_the_group(self):
         # |SL(4, F_7)| is about 4.6 * 10^12; this orbit has 136,800 matrices
         c = JordanClass(4, [("u", (2, 1, 1))], {"u": 1})
@@ -621,7 +634,7 @@ def _reference_table(c, p):
     size, cells, opposite = 0, set(), set()
     for ent in _reference_orbit(start):
         size += 1
-        cells.add(_cell_pattern(ent, n, field))
+        cells.add(_pivot_pattern(list(ent), n, field.p, field.inverse))
         opposite.add(_opposite_pattern(ent, n, field))
     cells = frozenset(Permutation(s) for s in cells)
     w0 = Permutation.longest(n)
@@ -693,7 +706,8 @@ class TestTorusClassWalk:
         assert sum(size for _, size, _ in classes) == gl_order(3, 5) // 4**3
         assert len(classes) == len({rep for rep, _, _ in classes}) == 1506
         field = PrimeField(5)
-        assert all(cell == _cell_pattern(rep, 3, field) for rep, _, cell in classes)
+        for rep, _, cell in classes:
+            assert cell == bruhat_cell(MatrixFq(field, 3, rep)).images
 
     @pytest.mark.parametrize("p", [2, 5])
     def test_scalar_walk(self, p):
@@ -751,7 +765,7 @@ class TestTorusClassWalk:
         g_inv = list(g)
         g[1], g_inv[1] = c, p - c
         conj = MatrixFq(field, n, g) * m * MatrixFq(field, n, g_inv)
-        assert _cell_pattern(conj.entries, n, field) == _cell_pattern(ent, n, field)
+        assert bruhat_cell(conj) == bruhat_cell(m)
 
 
 def _torus_conjugate(m, t, field):

@@ -56,7 +56,7 @@ classes = conjugacy.conjugacy_classes
 conjugacy.conjugacy_classes = lambda rs, allow_large=False: [
     dataclasses.replace(c, max_length=c.min_length) for c in classes(rs, allow_large)
 ]
-conjugacy._strong_component = lambda rs, u0: {u0}
+conjugacy._strong_component = lambda rs, stratum: {stratum[0]}
 print(conjugacy.verify_ascent_classes("B3").to_text())
 """,
 }

@@ -98,7 +98,10 @@ def test_strongly_conjugate_matches_whole_group_search(name):
     for c in conjugacy_classes(rs):
         members = sorted(c.elements, key=lambda w: (w.length, w.rows))
         for w in members:
-            component = _strong_component(rs, w.perm)
+            stratum = [w.perm] + [
+                v.perm for v in members if v.length == w.length and v != w
+            ]
+            component = _strong_component(rs, stratum)
             for w2 in members:
                 if w.length != w2.length:
                     continue
