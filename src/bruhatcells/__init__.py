@@ -84,7 +84,6 @@ from .oracle import (
     IntersectionTable,
     MatrixFq,
     PrimeField,
-    borel_order,
     bruhat_cell,
     bruhat_factor,
     cell_size_census,

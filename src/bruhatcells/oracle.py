@@ -9,17 +9,19 @@ algebraic closure, so these tables give one-sided ground truth everywhere
 out to reproduce the predicted sets exactly ("COMPLETE" checks).
 
 Both cell systems are invariant under conjugation by the diagonal torus T,
-so an orbit is walked one T-conjugacy class at a time and only a canonical
-representative of each class is eliminated: over DEFAULT_PAIRS that is
-10,927 representatives for 103,250 matrices, and the (3, 5) sweep walks
-6,226 classes instead of 97,000 matrices.  Most representatives are
-scaled along a tree that conjugation by I + c*e_12 leaves alone, so their
-transvection conjugates need no canonicalisation: 15,805 calls of
-``_torus_class`` over DEFAULT_PAIRS, where one per edge took 56,267.  BwB
-is invariant under conjugation by all of B, so a class the walk first
-reaches over a transvection in B keeps its parent's cell: 3,713
-representatives are eliminated for BwB over DEFAULT_PAIRS (1,362 at
-(3, 5)), and all of them for BwB^-.
+so an orbit is walked one T-conjugacy class at a time and a canonical
+representative stands for each class: over DEFAULT_PAIRS that is 10,927
+representatives for 103,250 matrices, and the (3, 5) sweep walks 6,226
+classes instead of 97,000 matrices.  The classes come in families, the
+T-classes of one orbit of T*U12 with U12 = {I + c*e_12} inside B, and only
+a family's root is eliminated, once for BwB and once for BwB^-: a member
+keeps its root's cell BwB, and its cell BwB^- comes off the root's
+reversed row pass.  That is 3,713 roots over DEFAULT_PAIRS (1,362 at
+(3, 5)) and 7,426 eliminations, where eliminating every class for BwB^-
+made 14,640.  Most roots are scaled along a tree that conjugation by
+I + c*e_12 leaves alone, so their members need no canonicalisation:
+12,541 calls of ``_torus_class`` over DEFAULT_PAIRS, where conjugating
+every class by the transvections took 15,805.
 
 Left multiplication by T keeps every cell as well, so the whole-group
 checks count over torus cosets: ``cell_size_census`` eliminates one
@@ -76,7 +78,6 @@ __all__ = [
     "cell_size_census",
     "gl_order",
     "sl_order",
-    "borel_order",
     "DEFAULT_PAIRS",
     "COMPLETE_PAIRS",
     "ORBIT_LIMIT",
@@ -87,9 +88,10 @@ DEFAULT_PAIRS = ((2, 3), (2, 5), (2, 7), (3, 2), (3, 3), (3, 5), (4, 2))
 # pairs where the empirical tables match the predicted sets exactly
 COMPLETE_PAIRS = ((2, 5), (2, 7), (3, 5), (3, 7), (4, 3))
 
-# Limit on the T-classes an orbit walk is estimated to visit, 15-20 us each
-# in the walk (2 vCPUs, Python 3.11): the largest estimates are 84,240 at
-# (4, 3), 624,960 at (5, 2) and 21,242 at (3, 11); (4, 5) has 5,667,187.
+# Limit on the T-classes an orbit walk is estimated to visit, 9-10 us each in
+# intersection_table (2 vCPUs, Python 3.11; 84,288 classes at (4, 3) and
+# 624,960 at (5, 2)): the largest estimates are 84,240 at (4, 3), 624,960 at
+# (5, 2) and 21,242 at (3, 11); (4, 5) has 5,667,187.
 ORBIT_LIMIT = 10**6
 _MAX_PRIME = 31
 # Limits on the matrices a walk eliminates, 6-15 us each (2 vCPUs, Python 3.11):
@@ -223,11 +225,29 @@ def _column_reversal(n: int):
     return tuple(i + n - 1 - j for i in range(0, n * n, n) for j in range(n))
 
 
-def _opposite_pattern(entries, n, field):
-    """Pivot pattern of g*w0dot: w0dot reverses the columns of g up to a
-    diagonal factor in B, which leaves the cell unchanged."""
+def _opposite_pass(entries, n, field):
+    """Pivot pattern of g*w0dot, with w0dot reversing the columns of g up
+    to a diagonal factor in B, which leaves the cell unchanged; and the
+    shear: the one c in F_p, or None, for which the pattern of the
+    transvection conjugate u g u^-1, u = I + c*e_12, ends (a, b), with
+    a < b its last two entries.  For every other c it ends (b, a), and
+    the rest is that of g.
+
+    u lies in B, so u g u^-1 lies in the opposite cell of g u^-1, whose
+    reversed columns differ from those of g only by
+    col_(n-2) -= c * col_(n-1).  Row operations commute with that, and the
+    pass does the same ones on the first n - 2 columns, so it leaves the
+    same two rows a < b unclaimed.  Row b, whose last two entries (x, y)
+    no later step writes, is the pivot of column n - 2 unless
+    x - c*y = 0: the pattern ends (a, b) for c = x / y, else (b, a)."""
+    p, inv = field.p, field.inverse
     m = [entries[k] for k in _column_reversal(n)]
-    return _pivot_pattern(m, n, field.p, field.inverse)
+    sigma = _pivot_pattern(m, n, p, inv)
+    if n == 1:
+        return sigma, None
+    b = max(sigma[-2:])
+    x, y = m[b * n - 2], m[b * n - 1]
+    return sigma, (x * inv[y] % p if y else None)
 
 
 def bruhat_cell(g: MatrixFq) -> Permutation:
@@ -269,7 +289,7 @@ def bruhat_factor(g: MatrixFq):
 
 def opposite_bruhat_cell(g: MatrixFq) -> Permutation:
     """The unique w with g in BwB^-, via g*w0dot in B(w*w0)B."""
-    u = Permutation(_opposite_pattern(g.entries, g.n, g.field))
+    u = Permutation(_opposite_pass(g.entries, g.n, g.field)[0])
     return u * Permutation.longest(g.n)
 
 
@@ -282,11 +302,6 @@ def gl_order(n: int, q: int) -> int:
 
 def sl_order(n: int, q: int) -> int:
     return gl_order(n, q) // (q - 1)
-
-
-def borel_order(n: int, q: int) -> int:
-    """Order of the upper-triangular subgroup of SL(n, F_q)."""
-    return (q - 1) ** (n - 1) * q ** (n * (n - 1) // 2)
 
 
 def _centralizer_order(c: JordanClass, q: int) -> int:
@@ -451,17 +466,24 @@ def _torus_class(m, n: int, field: PrimeField):
 def _iter_orbit(start: MatrixFq):
     """Depth-first walk of the GL(n)-conjugation orbit of start, one
     T-conjugacy class at a time: yields (canonical entries, class size,
-    BwB cell pattern) per class, see ``_torus_class``.  Over F_5 the orbit
-    of a regular semisimple class of SL(3) has 23,250 matrices in 1,506
-    T-classes.
+    BwB cell pattern, BwB^- cell pattern) per class, see ``_torus_class``
+    and ``_opposite_pass``.  Over F_5 the orbit of a regular semisimple
+    class of SL(3) has 23,250 matrices in 1,506 T-classes.
 
-    Each class is conjugated by I + c*e_12 for every c in F_p^*, in place
-    on a fresh list, and by ``_cycle_conjugation``.  When the class has a
-    kept tree its transvection conjugates are canonical already and of the
-    same size, so they are not canonicalised again.  Those transvections
-    lie in B, as T does, so a class first reached from its parent over one
-    lies in the parent's cell BwB; only a class first reached over the
-    cycle is eliminated for it: 330 of those 1,506.
+    The classes come in families, the T-classes of one orbit of T*U12,
+    U12 = {u = I + c*e_12}: a family's root is the start or a class first
+    reached over ``_cycle_conjugation``, and its other members are the
+    classes of the p - 1 conjugates u r u^-1 of the root r, built in place
+    on a fresh list.  When r has a kept tree these are canonical already
+    and of the same size, so they are not canonicalised again.  u lies in
+    B, so a member lies in its root's cell BwB, and its cell BwB^- comes
+    off the root's reversed row pass: each root is eliminated once for
+    each cell system, 330 of the 1,506 classes.
+
+    Every class is then conjugated by the n-cycle only.  ``_torus_class``
+    scales with t_0 = 1, so a member t u r u^-1 t^-1 has the transvection
+    conjugates t u' u r (u' u)^-1 t^-1 with u' = I + c' * t_1 * e_12: classes
+    of its own family, already reached.
 
     GL-orbits, not SL-orbits: over the algebraic closure a class is pinned
     down by its Jordan data, and SL(F_p)-orbits may split into pieces that
@@ -469,29 +491,40 @@ def _iter_orbit(start: MatrixFq):
     """
     n, field = start.n, start.field
     p, inv = field.p, field.inverse
-    units = range(1, p) if n > 1 else ()
+    shears = range(1, p) if n > 1 else ()
     row, rows = range(n), range(0, n * n, n)
     cycle = _cycle_conjugation(n)
-    rep, size, kept = _torus_class(start.entries, n, field)
-    seen = {rep}
-    queue = [(rep, size, kept, _pivot_pattern(list(rep), n, p, inv))]
-    while queue:
-        rep, size, kept, cell = queue.pop()
-        yield rep, size, cell
-        for c in units:
-            m = list(rep)
-            for k in row:  # row_0 += c * row_1
-                m[k] = (m[k] + c * m[n + k]) % p
-            for b in rows:  # col_1 -= c * col_0
-                m[b + 1] = (m[b + 1] - c * m[b]) % p
-            cls = (bytes(m), size, True) if kept else _torus_class(m, n, field)
-            if cls[0] not in seen:
-                seen.add(cls[0])
-                queue.append((*cls, cell))
-        cls = _torus_class(cycle(rep), n, field)
-        if cls[0] not in seen:
-            seen.add(cls[0])
-            queue.append((*cls, _pivot_pattern(list(cls[0]), n, p, inv)))
+    seen = set()
+    queue = []
+    m = start.entries
+    while True:
+        rep, size, kept = _torus_class(m, n, field)
+        if rep not in seen:  # the root of a new family
+            seen.add(rep)
+            queue.append(rep)
+            cell = _pivot_pattern(list(rep), n, p, inv)
+            opposite, shear = _opposite_pass(rep, n, field)
+            yield rep, size, cell, opposite
+            if shears:
+                low, high = sorted(opposite[-2:])
+                ordered = opposite[:-2] + (low, high)
+                swapped = opposite[:-2] + (high, low)
+            for c in shears:
+                m = list(rep)
+                for k in row:  # row_0 += c * row_1
+                    m[k] = (m[k] + c * m[n + k]) % p
+                for b in rows:  # col_1 -= c * col_0
+                    m[b + 1] = (m[b + 1] - c * m[b]) % p
+                member, members, _ = (
+                    (bytes(m), size, True) if kept else _torus_class(m, n, field)
+                )
+                if member not in seen:
+                    seen.add(member)
+                    queue.append(member)
+                    yield member, members, cell, ordered if c == shear else swapped
+        if not queue:
+            return
+        m = cycle(queue.pop())
 
 
 @dataclass(frozen=True)
@@ -515,17 +548,16 @@ class IntersectionTable:
 def intersection_table(
     c: JordanClass, p: int, allow_large: bool = False
 ) -> IntersectionTable:
-    """Tabulate the cells BwB that ``_iter_orbit`` yields for every T-class
-    of the GL(n)-orbit, and decompose each representative in BwB^-.  Both
-    cell systems are invariant under T-conjugation (t in B on the left,
-    t^-1 in B and in B^- on the right), so the representatives meet the
-    same cells as the whole orbit.
+    """Tabulate the cells BwB and BwB^- that ``_iter_orbit`` yields for
+    every T-class of the GL(n)-orbit.  Both cell systems are invariant under
+    T-conjugation (t in B on the left, t^-1 in B and in B^- on the right),
+    so the representatives meet the same cells as the whole orbit.
 
     The walk is refused when its estimated T-classes, the orbit size over
     the (p-1)^(n-1) members of a class with a connected support, exceed
     ORBIT_LIMIT, unless allow_large."""
     start = jordan_matrix(c, p)
-    n, field = start.n, start.field
+    n = start.n
     orbit = _orbit_size(c, p)
     t_classes = orbit // (p - 1) ** (n - 1)
     if t_classes > ORBIT_LIMIT and not allow_large:
@@ -538,10 +570,10 @@ def intersection_table(
     cells = set()
     opposite = set()
     size = 0
-    for ent, members, cell in _iter_orbit(start):
+    for _, members, cell, opposite_cell in _iter_orbit(start):
         size += members
         cells.add(cell)
-        opposite.add(_opposite_pattern(ent, n, field))
+        opposite.add(opposite_cell)
     cell_perms = frozenset(Permutation(s) for s in cells)
     opp_perms = frozenset(Permutation(s) * w0 for s in opposite)
     maxima = [

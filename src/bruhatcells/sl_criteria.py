@@ -278,7 +278,12 @@ def bruhat_lower_set(c: JordanClass) -> frozenset[Permutation]:
     this is the set of opposite cells BwB^- the class meets."""
     n_plus_1 = c.n_plus_1
     if n_plus_1 > _LOWER_SET_DEGREE_LIMIT:
-        raise GuardError(f"degree {n_plus_1} > {_LOWER_SET_DEGREE_LIMIT}")
+        raise GuardError(
+            f"degree {n_plus_1} > {_LOWER_SET_DEGREE_LIMIT}: the Bruhat lower set "
+            f"below the dense-cell involution of {c.describe()} is built only up "
+            f"to degree {_LOWER_SET_DEGREE_LIMIT}, and validate_class needs it to "
+            "check the opposite cells and the cells below the dense element"
+        )
     return _lower_set(n_plus_1, two_cycle_cap(c))
 
 

@@ -26,7 +26,6 @@ from bruhatcells.oracle import (
     COMPLETE_PAIRS,
     DEFAULT_PAIRS,
     _orbit_size,
-    borel_order,
     cell_size_census,
     field_classes,
     intersection_table,
@@ -150,6 +149,11 @@ def test_criterion_5_partition_suite():
                 if dominance_leq(two_one_shape(p, l), mu) != (len(mu) <= p - l):
                     bad += 1
     announce("hook-bound agreement p<=10", bad == 0, f"{bad} mismatches")
+
+
+def borel_order(n, q):
+    """Order of the upper-triangular subgroup of SL(n, F_q)."""
+    return (q - 1) ** (n - 1) * q ** (n * (n - 1) // 2)
 
 
 def test_criterion_6_oracle_sound(oracle_tables):

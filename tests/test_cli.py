@@ -1,5 +1,9 @@
 import json
+import os
+import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -401,7 +405,13 @@ class TestOracle:
         eigen_data = [{"label": "u", "blocks": blocks}]
         path = jordan_file({"n_plus_1": 9, "eigen_data": eigen_data, "values": {"u": 1}})
         assert main(["oracle", "--jordan", path, "--q", "2"]) == 2
-        assert "degree 9 > 8" in capsys.readouterr().err
+        describe = "u=" + ".".join(map(str, blocks))
+        assert capsys.readouterr().err == (
+            "error: degree 9 > 8: the Bruhat lower set below the dense-cell "
+            f"involution of {describe} is built only up to degree 8, and "
+            "validate_class needs it to check the opposite cells and the cells "
+            "below the dense element\n"
+        )
 
 
 class TestViolationExitCode:
@@ -450,3 +460,41 @@ class TestViolationExitCode:
         assert main(["verify", "--type", "A3", "--checks", "m-classification"]) == 1
         out = capsys.readouterr().out
         assert "FAIL" in out and "witness=w" in out
+
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SL3_REGULAR_UNIPOTENT = {
+    "n_plus_1": 3,
+    "eigen_data": [{"label": "u", "blocks": [3]}],
+    "values": {"u": 1},
+}
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["oracle", "--jordan", "{class}", "--q", "5", "--checks", "all"],
+        ["verify", "--type", "F4"],
+        ["catalog", "--type", "A53"],
+    ],
+    ids=["oracle", "verify", "catalog"],
+)
+def test_output_ignores_hash_seed(jordan_file, args):
+    # Sets and dicts keyed by permutations iterate in hash order; the
+    # printed reports and catalogs must not.
+    path = jordan_file(SL3_REGULAR_UNIPOTENT)
+    args = [path if a == "{class}" else a for a in args] + ["--format", "json"]
+    outputs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "bruhatcells", *args],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])

@@ -38,7 +38,7 @@ PUBLIC_NAMES = [
     "DEFAULT_PAIRS", "GuardError", "IntersectionTable", "JordanClass",
     "MatrixFq", "MaximalSet", "Partition", "Permutation", "PrimeField",
     "Report", "RootSystem", "WeylElement", "abstract_jordan_classes",
-    "all_permutations", "block_sum_partition", "borel_order", "bruhat_cell",
+    "all_permutations", "block_sum_partition", "bruhat_cell",
     "bruhat_factor", "bruhat_leq", "bruhat_leq_perm", "bruhat_lower_set",
     "build_root_system", "catalog_subsets", "cell_size_census",
     "classifying_subsets", "clear_caches", "closure_monotonicity",

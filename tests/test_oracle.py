@@ -14,7 +14,6 @@ from bruhatcells.errors import GuardError
 from bruhatcells.oracle import (
     MatrixFq,
     PrimeField,
-    borel_order,
     bruhat_cell,
     bruhat_factor,
     cell_size_census,
@@ -30,13 +29,14 @@ from bruhatcells.oracle import (
 from bruhatcells.oracle import (
     DEFAULT_PAIRS,
     _iter_orbit,
-    _opposite_pattern,
+    _opposite_pass,
     _pivot_pattern,
     _support_plan,
     _torus_class,
 )
 from bruhatcells.permutations import Permutation, all_permutations, bruhat_leq_perm
 from bruhatcells.sl_criteria import JordanClass
+from test_acceptance import borel_order
 
 
 def permutation_monomial(w, field):
@@ -304,7 +304,7 @@ class TestOppositeCells:
     def test_row_reversal_matches_w0_product(self, g):
         n, field = g.n, g.field
         expected = bruhat_cell(g * w0_monomial(n, field)).images
-        assert _opposite_pattern(g.entries, n, field) == expected
+        assert _opposite_pass(g.entries, n, field)[0] == expected
 
 
 def _column_reversed(entries, n):
@@ -312,7 +312,7 @@ def _column_reversed(entries, n):
 
 
 class TestPivotPatternMatchesFactoring:
-    """The row-operation kernel behind ``bruhat_cell``, ``_opposite_pattern``
+    """The row-operation kernel behind ``bruhat_cell``, ``_opposite_pass``
     and ``det`` against Bruhat factorisations checked by their defining
     property, and against the Leibniz formula."""
 
@@ -332,7 +332,7 @@ class TestPivotPatternMatchesFactoring:
             expected = factored.get(flipped)
             if expected is None:
                 expected = factored_cell(MatrixFq(field, n, flipped)).images
-            assert _opposite_pattern(ent, n, field) == expected
+            assert _opposite_pass(ent, n, field)[0] == expected
 
     def test_det_matches_leibniz_on_all_of_m3_f3(self):
         field = PrimeField(3)
@@ -356,7 +356,7 @@ class TestPivotPatternMatchesFactoring:
         assume(g.det() != 0)
         assert bruhat_cell(g) == factored_cell(g)
         flipped = MatrixFq(field, n, _column_reversed(ent, n))
-        assert _opposite_pattern(ent, n, field) == factored_cell(flipped).images
+        assert _opposite_pass(ent, n, field)[0] == factored_cell(flipped).images
 
 
 class TestCellCensus:
@@ -462,7 +462,7 @@ def geometric_orbit(c, p):
     n, field = start.n, start.field
     members = sorted(
         ent
-        for rep, _, _ in _iter_orbit(start)
+        for rep, *_ in _iter_orbit(start)
         for ent in _torus_expand(rep, n, field)
     )
     return tuple(MatrixFq(field, n, ent) for ent in members)
@@ -521,7 +521,12 @@ class TestGeometricOrbits:
 
         monkeypatch.setattr(oracle, "_iter_orbit", no_walk)
         c = JordanClass(9, [("u", (1,) * 9)], {"u": 1})
-        with pytest.raises(GuardError, match="degree 9 > 8"):
+        message = (
+            r"degree 9 > 8: the Bruhat lower set below the dense-cell involution "
+            r"of u=1\.1\.1\.1\.1\.1\.1\.1\.1 is built only up to degree 8, and "
+            r"validate_class needs it"
+        )
+        with pytest.raises(GuardError, match=message):
             validate_class(c, 2)
 
     def test_guard_sizes_the_orbit_not_the_group(self):
@@ -566,7 +571,7 @@ class TestIntersectionTables:
         for other in sorted(orbit, key=lambda m: m.entries)[::7]:
             regrown = {
                 MatrixFq(other.field, 2, ent)
-                for rep, _, _ in _iter_orbit(other)
+                for rep, *_ in _iter_orbit(other)
                 for ent in _torus_expand(rep, 2, other.field)
             }
             assert regrown == orbit
@@ -635,7 +640,7 @@ def _reference_table(c, p):
     for ent in _reference_orbit(start):
         size += 1
         cells.add(_pivot_pattern(list(ent), n, field.p, field.inverse))
-        opposite.add(_opposite_pattern(ent, n, field))
+        opposite.add(_opposite_pass(ent, n, field)[0])
     cells = frozenset(Permutation(s) for s in cells)
     w0 = Permutation.longest(n)
     opposite = frozenset(Permutation(s) * w0 for s in opposite)
@@ -691,11 +696,8 @@ class TestTorusClassWalk:
         rep, size, kept = _torus_class(m, n, field)
         assume(kept)
         assert size == (p - 1) ** (n - 1)
-        c = data.draw(st.integers(1, p - 1))
-        g = list(MatrixFq.identity(field, n).entries)
-        g_inv = list(g)
-        g[1], g_inv[1] = c, p - c
-        conj = MatrixFq(field, n, g) * MatrixFq(field, n, rep) * MatrixFq(field, n, g_inv)
+        u, u_inv = _transvection(field, n, data.draw(st.integers(1, p - 1)))
+        conj = u * MatrixFq(field, n, rep) * u_inv
         assert _torus_class(conj.entries, n, field) == (bytes(conj.entries), size, True)
 
     def test_walk_visits_fewer_classes_than_matrices(self):
@@ -703,52 +705,108 @@ class TestTorusClassWalk:
             3, [("a", (1,)), ("b", (1,)), ("c", (1,))], {"a": 1, "b": 2, "c": 3}
         )
         classes = list(_iter_orbit(jordan_matrix(c, 5)))
-        assert sum(size for _, size, _ in classes) == gl_order(3, 5) // 4**3
-        assert len(classes) == len({rep for rep, _, _ in classes}) == 1506
+        assert sum(size for _, size, _, _ in classes) == gl_order(3, 5) // 4**3
+        assert len(classes) == len({rep for rep, *_ in classes}) == 1506
         field = PrimeField(5)
-        for rep, _, cell in classes:
+        for rep, _, cell, opposite in classes:
             assert cell == bruhat_cell(MatrixFq(field, 3, rep)).images
+            assert opposite == _opposite_pass(rep, 3, field)[0]
 
     @pytest.mark.parametrize("p", [2, 5])
     def test_scalar_walk(self, p):
         # At n = 1 the cycle is the identity and there is no transvection.
         (c,) = field_classes(1, p)
-        assert list(_iter_orbit(jordan_matrix(c, p))) == [(b"\x01", 1, (1,))]
+        assert list(_iter_orbit(jordan_matrix(c, p))) == [(b"\x01", 1, (1,), (1,))]
 
-    def test_walk_inherits_cells_over_borel_edges(self, monkeypatch):
-        # Only the classes first reached over the cycle edge are eliminated
-        # for BwB: 330 of the 1,506, where every class was before.
-        calls = []
+    def test_walk_eliminates_family_roots_only(self, monkeypatch):
+        # Only the start and the classes first reached over the cycle edge,
+        # the family roots, are eliminated: 330 of the 1,506, once for BwB
+        # and once for BwB^-, where every class was eliminated for BwB^-.
+        calls, roots = [], []
 
         def counting(m, n, p, inv):
             calls.append(tuple(m))
             return _pivot_pattern(m, n, p, inv)
 
+        def recording(entries, n, field):
+            roots.append(entries)
+            return _opposite_pass(entries, n, field)
+
         monkeypatch.setattr(oracle, "_pivot_pattern", counting)
+        monkeypatch.setattr(oracle, "_opposite_pass", recording)
         c = JordanClass(
             3, [("a", (1,)), ("b", (1,)), ("c", (1,))], {"a": 1, "b": 2, "c": 3}
         )
         assert len(list(_iter_orbit(jordan_matrix(c, 5)))) == 1506
-        assert len(calls) == len(set(calls)) == 330
+        assert len(roots) == len(set(roots)) == 330
+        assert len(calls) == 660 and calls[::2] == [tuple(r) for r in roots]
 
     def test_kept_trees_skip_canonicalisation(self, monkeypatch):
         # The start and every cycle edge are canonicalised; transvection
-        # edges only from the classes without a kept tree.
-        calls = []
+        # edges only from the family roots without a kept tree.
+        calls, roots = [], []
 
         def counting(m, n, field):
             calls.append(m)
             return _torus_class(m, n, field)
 
+        def recording(entries, n, field):
+            roots.append(entries)
+            return _opposite_pass(entries, n, field)
+
         monkeypatch.setattr(oracle, "_torus_class", counting)
+        monkeypatch.setattr(oracle, "_opposite_pass", recording)
         c = JordanClass(
             3, [("a", (1,)), ("b", (1,)), ("c", (1,))], {"a": 1, "b": 2, "c": 3}
         )
         classes = list(_iter_orbit(jordan_matrix(c, 5)))
         field = PrimeField(5)
-        kept = [_torus_class(rep, 3, field)[2] for rep, _, _ in classes]
-        assert len(classes) == 1506 and kept.count(False) == 331
-        assert len(calls) == 1 + len(classes) + 4 * kept.count(False) == 2831
+        kept = [_torus_class(rep, 3, field)[2] for rep in roots]
+        assert len(classes) == 1506 and kept.count(False) == 95
+        assert len(calls) == 1 + len(classes) + 4 * kept.count(False) == 1887
+
+    @settings(max_examples=200)
+    @given(st.data())
+    def test_shear_gives_the_transvection_conjugates_opposite_cells(self, data):
+        # The pattern of u r u^-1 * w0dot, u = I + c*e_12, is that of r with
+        # its last two rows in increasing order when c is the shear of r,
+        # else in decreasing order.
+        p = data.draw(st.sampled_from([3, 5, 7]))
+        n = data.draw(st.integers(2, 4))
+        field = PrimeField(p)
+        ent = data.draw(st.lists(st.integers(0, p - 1), min_size=n * n, max_size=n * n))
+        r = MatrixFq(field, n, ent)
+        assume(r.det() != 0)
+        sigma, shear = _opposite_pass(ent, n, field)
+        low, high = sorted(sigma[-2:])
+        w0 = w0_monomial(n, field)
+        for c in range(p):
+            u, u_inv = _transvection(field, n, c)
+            conj = u * r * u_inv
+            tail = (low, high) if c == shear else (high, low)
+            assert _opposite_pass(conj.entries, n, field)[0] == sigma[:-2] + tail
+            assert bruhat_cell(conj * w0).images == sigma[:-2] + tail
+
+    @settings(max_examples=150)
+    @given(st.data())
+    def test_member_transvections_stay_in_the_family(self, data):
+        # The family of a root r is the T-classes of the u r u^-1; the
+        # transvection conjugates of each member's canonical representative
+        # fall into them again, so the walk never conjugates a member by u.
+        p = data.draw(st.sampled_from([3, 5, 7]))
+        n = data.draw(st.integers(2, 4))
+        field = PrimeField(p)
+        ent = data.draw(st.lists(st.integers(0, p - 1), min_size=n * n, max_size=n * n))
+        root = MatrixFq(field, n, _torus_class(ent, n, field)[0])
+        shears = [_transvection(field, n, c) for c in range(p)]
+
+        def classes_of_conjugates(m):
+            conjugates = (u * m * u_inv for u, u_inv in shears)
+            return {_torus_class(g.entries, n, field)[0] for g in conjugates}
+
+        family = classes_of_conjugates(root)
+        for rep in family:
+            assert classes_of_conjugates(MatrixFq(field, n, rep)) <= family
 
     @settings(max_examples=200)
     @given(st.data())
@@ -760,12 +818,17 @@ class TestTorusClassWalk:
         ent = data.draw(st.lists(st.integers(0, p - 1), min_size=n * n, max_size=n * n))
         m = MatrixFq(field, n, ent)
         assume(m.det() != 0)
-        c = data.draw(st.integers(1, p - 1))
-        g = list(MatrixFq.identity(field, n).entries)
-        g_inv = list(g)
-        g[1], g_inv[1] = c, p - c
-        conj = MatrixFq(field, n, g) * m * MatrixFq(field, n, g_inv)
+        u, u_inv = _transvection(field, n, data.draw(st.integers(1, p - 1)))
+        conj = u * m * u_inv
         assert bruhat_cell(conj) == bruhat_cell(m)
+
+
+def _transvection(field, n, c):
+    """u = I + c*e_12 and its inverse."""
+    u = list(MatrixFq.identity(field, n).entries)
+    u_inv = list(u)
+    u[1], u_inv[1] = c, -c
+    return MatrixFq(field, n, u), MatrixFq(field, n, u_inv)
 
 
 def _torus_conjugate(m, t, field):
