@@ -12,9 +12,9 @@ verification suites that check the classification and its corollaries.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from operator import attrgetter
 
+from ._record import Record
 from .coxeter import (
     CartanType,
     ENUMERATION_LIMIT,
@@ -131,19 +131,22 @@ def enumerate_weyl_group(rs: RootSystem, allow_large: bool = False):
     return cached
 
 
-@dataclass(frozen=True)
-class ConjugacyClass:
+class ConjugacyClass(Record):
     """A conjugacy class, materialized; extremal-length sublists are sorted.
 
     With a diagram automorphism delta it is the delta-twisted class, the
     orbit under u |-> delta(s) * u * s over the simple reflections s.
     """
 
+    __slots__ = ("representative", "elements", "max_length", "min_length", "delta")
     representative: WeylElement
     elements: frozenset[WeylElement]
     max_length: tuple[WeylElement, ...]
     min_length: tuple[WeylElement, ...]
-    delta: tuple[int, ...] | None = None
+    delta: tuple[int, ...] | None
+
+    def __init__(self, representative, elements, max_length, min_length, delta=None):
+        super().__init__(representative, elements, max_length, min_length, delta)
 
     @property
     def is_unique_max(self) -> bool:
@@ -272,13 +275,17 @@ def involution_classes(rs: RootSystem):
     return cached
 
 
-@dataclass(frozen=True)
-class MaximalSet:
+class MaximalSet(Record):
     """The unique maximal-length involutions, with their fixed subsets."""
 
+    __slots__ = ("cartan_type", "members", "fixed_simples")
+    __hash__ = None  # fixed_simples is a dict
     cartan_type: CartanType
     members: frozenset[WeylElement]
     fixed_simples: dict  # member -> frozenset of fixed simple-root indices
+
+    def __init__(self, cartan_type, members, fixed_simples):
+        super().__init__(cartan_type, members, fixed_simples)
 
     def __len__(self):
         return len(self.members)

@@ -23,11 +23,11 @@ from __future__ import annotations
 
 import re
 import weakref
-from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
 from operator import itemgetter
 
+from ._record import Record
 from .errors import GuardError
 
 __all__ = [
@@ -69,19 +69,22 @@ _RANK_BOUNDS = {
 _TYPE_RE = re.compile(r"^([A-G])\s*(\d+)$")
 
 
-@dataclass(frozen=True)
-class CartanType:
+class CartanType(Record):
     """A simple Cartan type: family letter plus rank, e.g. CartanType('B', 4)."""
 
+    __slots__ = ("family", "rank")
     family: str
     rank: int
 
-    def __post_init__(self):
-        if self.family not in _RANK_BOUNDS:
-            raise ValueError(f"unknown family {self.family!r}")
-        lo, hi = _RANK_BOUNDS[self.family]
-        if self.rank < lo or (hi is not None and self.rank > hi):
-            raise ValueError(f"rank {self.rank} out of range for family {self.family}")
+    def __init__(self, family: str, rank: int):
+        if family not in _RANK_BOUNDS:
+            raise ValueError(f"unknown family {family!r}")
+        if type(rank) is not int:
+            raise ValueError(f"rank must be an integer: {rank!r}")
+        lo, hi = _RANK_BOUNDS[family]
+        if rank < lo or (hi is not None and rank > hi):
+            raise ValueError(f"rank {rank} out of range for family {family}")
+        super().__init__(family, rank)
 
     @classmethod
     def from_string(cls, s: str) -> "CartanType":

@@ -35,12 +35,12 @@ reduction, ``_pivot_pattern``.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import product
 from math import isqrt
 from operator import itemgetter
 
+from ._record import Record
 from .errors import GuardError
 from .partitions import cycle_type, partitions_of
 from .permutations import (
@@ -527,16 +527,19 @@ def _iter_orbit(start: MatrixFq):
         m = cycle(queue.pop())
 
 
-@dataclass(frozen=True)
-class IntersectionTable:
+class IntersectionTable(Record):
     """Which cells BwB and BwB^- one class meets over F_p."""
 
+    __slots__ = ("jordan", "p", "orbit_size", "cells", "opposite_cells", "bruhat_max")
     jordan: JordanClass
     p: int
     orbit_size: int
     cells: frozenset[Permutation]            # w with orbit meeting BwB
     opposite_cells: frozenset[Permutation]   # w with orbit meeting BwB^-
     bruhat_max: Permutation | None           # unique Bruhat maximum of cells
+
+    def __init__(self, jordan, p, orbit_size, cells, opposite_cells, bruhat_max):
+        super().__init__(jordan, p, orbit_size, cells, opposite_cells, bruhat_max)
 
     def sorted_cells(self):
         return sorted(self.cells, key=lambda w: (w.inversions(), w.images))

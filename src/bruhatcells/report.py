@@ -2,18 +2,21 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from ._record import Record
 
 __all__ = ["CheckResult", "Report"]
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Record):
+    __slots__ = ("subject", "check", "kind", "passed", "witness")
     subject: str        # what was checked, e.g. a Cartan type or class label
     check: str          # short machine-friendly check name
     kind: str           # "EXACT", "SOUND" or "COMPLETE"
     passed: bool
-    witness: str | None = None   # offending element / pair on failure
+    witness: str | None          # offending element / pair on failure
+
+    def __init__(self, subject, check, kind, passed, witness=None):
+        super().__init__(subject, check, kind, passed, witness)
 
     def line(self) -> str:
         status = "pass" if self.passed else "FAIL"
@@ -30,8 +33,7 @@ class CheckResult:
         }
 
 
-@dataclass
-class Report:
+class Report(Record):
     """The results of one suite, in the order they were recorded.
 
     Most checks state what must be empty and go through ``require``: a check
@@ -41,9 +43,18 @@ class Report:
     and give their own witness.
     """
 
+    __slots__ = ("name", "results", "notes")
+    __hash__ = None
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
     name: str
-    results: list[CheckResult] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
+    results: list[CheckResult]
+    notes: list[str]
+
+    def __init__(self, name, results=None, notes=None):
+        super().__init__(
+            name, [] if results is None else results, [] if notes is None else notes
+        )
 
     def add(self, subject, check, kind, passed, witness=None):
         self.results.append(CheckResult(subject, check, kind, bool(passed), witness))

@@ -13,9 +13,9 @@ obtained by summing block sizes across eigenvalues.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
+from ._record import Record
 from .errors import GuardError
 from .partitions import Partition, dominance_leq
 from .permutations import (
@@ -55,22 +55,21 @@ _LOWER_SET_DEGREE_LIMIT = 8
 _SPHERICAL_DEGREE_LIMIT = 10
 
 
-@dataclass(frozen=True)
-class EigenData:
+class EigenData(Record):
     """One eigenvalue label with its Jordan block sizes, non-increasing."""
 
+    __slots__ = ("label", "blocks")
     label: str
     blocks: tuple[int, ...]
 
-    def __post_init__(self):
-        if not all(type(b) is int for b in self.blocks):
-            raise ValueError(f"blocks must be integers: {self.blocks}")
-        if not self.blocks or any(b <= 0 for b in self.blocks):
-            raise ValueError(f"blocks must be positive: {self.blocks}")
-        if any(
-            self.blocks[i] < self.blocks[i + 1] for i in range(len(self.blocks) - 1)
-        ):
-            raise ValueError(f"blocks must be non-increasing: {self.blocks}")
+    def __init__(self, label: str, blocks: tuple[int, ...]):
+        if not all(type(b) is int for b in blocks):
+            raise ValueError(f"blocks must be integers: {blocks}")
+        if not blocks or any(b <= 0 for b in blocks):
+            raise ValueError(f"blocks must be positive: {blocks}")
+        if any(blocks[i] < blocks[i + 1] for i in range(len(blocks) - 1)):
+            raise ValueError(f"blocks must be non-increasing: {blocks}")
+        super().__init__(label, blocks)
 
     @property
     def multiplicity(self) -> int:
@@ -329,13 +328,16 @@ def spherical_weyl_set(c: JordanClass) -> frozenset[Permutation]:
     )
 
 
-@dataclass(frozen=True)
-class ClosureMonotonicity:
+class ClosureMonotonicity(Record):
     """Combinatorial consequences of one class lying in another's closure."""
 
+    __slots__ = ("cap_monotone", "cells_monotone", "dense_elements_comparable")
     cap_monotone: bool            # cap of inner <= cap of outer
     cells_monotone: bool          # inner meets an involution cell => outer does
     dense_elements_comparable: bool  # dense involutions Bruhat-comparable
+
+    def __init__(self, cap_monotone, cells_monotone, dense_elements_comparable):
+        super().__init__(cap_monotone, cells_monotone, dense_elements_comparable)
 
     @property
     def ok(self) -> bool:

@@ -1,5 +1,4 @@
 import collections
-import dataclasses
 import functools
 import itertools
 import math
@@ -12,6 +11,7 @@ from hypothesis import strategies as st
 from bruhatcells import oracle
 from bruhatcells.errors import GuardError
 from bruhatcells.oracle import (
+    IntersectionTable,
     MatrixFq,
     PrimeField,
     bruhat_cell,
@@ -931,8 +931,13 @@ class TestValidateClass:
         c = JordanClass(3, [("u", (1, 1, 1))], {"u": 1})
         table = intersection_table(c, 5)
         w0 = Permutation.longest(3)
-        doctored = dataclasses.replace(
-            table, cells=table.cells | {w0}, opposite_cells=table.opposite_cells | {w0}
+        doctored = IntersectionTable(
+            table.jordan,
+            table.p,
+            table.orbit_size,
+            table.cells | {w0},
+            table.opposite_cells | {w0},
+            table.bruhat_max,
         )
         assert validate_class(c, 5, table).passed
         failed = {r.check for r in validate_class(c, 5, doctored).failed(("SOUND",))}
@@ -947,8 +952,13 @@ class TestValidateClass:
         c = JordanClass(3, [("u", (2, 1))], {"u": 1})
         table = intersection_table(c, 5)
         dropped = min(table.opposite_cells - table.cells, key=lambda w: w.images)
-        doctored = dataclasses.replace(
-            table, opposite_cells=table.opposite_cells - {dropped}
+        doctored = IntersectionTable(
+            table.jordan,
+            table.p,
+            table.orbit_size,
+            table.cells,
+            table.opposite_cells - {dropped},
+            table.bruhat_max,
         )
         assert validate_class(c, 5, table).passed
         failed = {r.check for r in validate_class(c, 5, doctored).failed()}

@@ -50,11 +50,13 @@ conjugacy.catalog_subsets = lambda t: sorted(full(t), key=sorted)[::2]
 print(conjugacy.verify_unique_max_classification("E6").to_text())
 """,
     "ascent": """
-import dataclasses
 from bruhatcells import conjugacy
 classes = conjugacy.conjugacy_classes
 conjugacy.conjugacy_classes = lambda rs, allow_large=False: [
-    dataclasses.replace(c, max_length=c.min_length) for c in classes(rs, allow_large)
+    conjugacy.ConjugacyClass(
+        c.representative, c.elements, c.min_length, c.min_length, c.delta
+    )
+    for c in classes(rs, allow_large)
 ]
 conjugacy._strong_component = lambda rs, stratum: {stratum[0]}
 print(conjugacy.verify_ascent_classes("B3").to_text())
