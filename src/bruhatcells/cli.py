@@ -24,7 +24,7 @@ from .conjugacy import (
 from .coxeter import _RANK_LIMIT, CartanType, build_root_system
 from .errors import GuardError
 from .partitions import cycle_type
-from .permutations import Permutation, bruhat_leq_perm
+from .permutations import Permutation, bruhat_leq_perm, length_order
 from .sl_criteria import (
     JordanClass,
     bruhat_lower_set,
@@ -181,10 +181,7 @@ def cmd_query(args) -> int:
     lam = cycle_type(w)
     record = {
         "class": c.to_json_dict(),
-        "summary": {
-            line.split(": ", 1)[0]: line.split(": ", 1)[1]
-            for line in format_class_summary(c)[1:]
-        },
+        "summary": dict(format_class_summary(c)[1:]),
         "perm": w.cycle_string(),
         "cycle_type": str(lam),
         "full_weyl_class_inside": weyl_class_inside(c, lam),
@@ -198,8 +195,8 @@ def cmd_query(args) -> int:
     if args.format == "json":
         print(json.dumps(record, indent=2))
     else:
-        for line in format_class_summary(c):
-            print(line)
+        for name, value in format_class_summary(c):
+            print(f"{name}: {value}")
         print(f"perm: {w.cycle_string()}  (cycle type {lam})")
         if w.is_involution:
             verdict = "nonempty" if record["meets_cell"] else "empty"
@@ -224,9 +221,7 @@ def cmd_hasse(args) -> int:
         return _fail_usage(
             f"n+1 = {c.n_plus_1} > 6 would produce an unreadable diagram"
         )
-    lower = sorted(
-        bruhat_lower_set(c), key=lambda w: (w.inversions(), w.images)
-    )
+    lower = sorted(bruhat_lower_set(c), key=length_order)
     lines = [
         "digraph bruhat_lower_set {",
         "  rankdir=BT;",
@@ -290,8 +285,8 @@ def cmd_oracle(args) -> int:
             )
         )
     else:
-        for line in format_class_summary(c):
-            print(line)
+        for name, value in format_class_summary(c):
+            print(f"{name}: {value}")
         print(f"q: {args.q}")
         print(f"orbit size: {table.orbit_size}")
         print("cells met (BwB): " + ", ".join(w.cycle_string() for w in table.sorted_cells()))

@@ -355,6 +355,10 @@ class RootSystem:
     def __repr__(self):
         return f"RootSystem({self.cartan_type})"
 
+    def __reduce__(self):
+        # the arithmetic is closures: copies and unpickled systems are the cached one
+        return build_root_system, (self.cartan_type,)
+
     def pair(self, alpha, beta) -> int:
         """Invariant symmetric bilinear form of two coordinate vectors."""
         n = self.rank

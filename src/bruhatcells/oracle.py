@@ -48,6 +48,7 @@ from .permutations import (
     all_permutations,
     bruhat_leq_perm,
     involutions,
+    length_order,
 )
 from .report import Report
 from .sl_criteria import (
@@ -101,33 +102,40 @@ _CENSUS_LIMIT = 10**6
 _COSET_PRODUCT_LIMIT = 60_000
 
 
-class PrimeField:
+class PrimeField(Record):
     """Arithmetic mod a prime p <= 31, with a cached inverse table."""
+
+    __slots__ = ("p", "inverse")
+    p: int
+    inverse: tuple[int, ...]  # inverse[x] * x = 1 mod p; inverse[0] = 0
 
     def __init__(self, p: int):
         if p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
             raise ValueError(f"{p} is not prime")
         if p > _MAX_PRIME:
             raise ValueError(f"p = {p} exceeds the supported bound {_MAX_PRIME}")
-        self.p = p
-        self.inverse = (0,) + tuple(pow(x, p - 2, p) for x in range(1, p))
+        super().__init__(p, (0,) + tuple(pow(x, p - 2, p) for x in range(1, p)))
 
     def __repr__(self):
         return f"PrimeField({self.p})"
 
+    def __reduce__(self):
+        return PrimeField, (self.p,)
 
-class MatrixFq:
+
+class MatrixFq(Record):
     """An n x n matrix over F_p; entries are a flat row-major tuple in 0..p-1."""
 
-    __slots__ = ("field", "n", "entries", "_det")
+    __slots__ = ("field", "n", "entries")
+    field: PrimeField
+    n: int
+    entries: tuple[int, ...]
 
     def __init__(self, field: PrimeField, n: int, entries):
-        self.field = field
-        self.n = n
-        self.entries = tuple(v % field.p for v in entries)
-        if len(self.entries) != n * n:
-            raise ValueError(f"expected {n * n} entries, got {len(self.entries)}")
-        self._det = None
+        entries = tuple(v % field.p for v in entries)
+        if len(entries) != n * n:
+            raise ValueError(f"expected {n * n} entries, got {len(entries)}")
+        super().__init__(field, n, entries)
 
     @classmethod
     def from_rows(cls, field, rows) -> "MatrixFq":
@@ -137,16 +145,6 @@ class MatrixFq:
     @classmethod
     def identity(cls, field, n) -> "MatrixFq":
         return cls(field, n, [1 if i == j else 0 for i in range(n) for j in range(n)])
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, MatrixFq)
-            and self.field.p == other.field.p
-            and self.entries == other.entries
-        )
-
-    def __hash__(self):
-        return hash((self.field.p, self.entries))
 
     def __repr__(self):
         rows = [
@@ -170,21 +168,18 @@ class MatrixFq:
         """sign(sigma) times the pivots that ``_pivot_pattern`` leaves: its
         row operations keep the determinant, and its pivot rows in sigma
         order are upper triangular.  0 when it is singular."""
-        if self._det is None:
-            n, p = self.n, self.field.p
-            m = list(self.entries)
-            try:
-                sigma = _pivot_pattern(m, n, p, self.field.inverse)
-            except ValueError:
-                self._det = 0
-                return 0
-            det = 1
-            for j, i in enumerate(sigma):
-                det = det * m[(i - 1) * n + j] % p
-            if Permutation(sigma).inversions() % 2:
-                det = -det % p
-            self._det = det
-        return self._det
+        n, p = self.n, self.field.p
+        m = list(self.entries)
+        try:
+            sigma = _pivot_pattern(m, n, p, self.field.inverse)
+        except ValueError:
+            return 0
+        det = 1
+        for j, i in enumerate(sigma):
+            det = det * m[(i - 1) * n + j] % p
+        if Permutation(sigma).inversions() % 2:
+            det = -det % p
+        return det
 
 
 def _pivot_pattern(m, n, p, inv):
@@ -542,10 +537,10 @@ class IntersectionTable(Record):
         super().__init__(jordan, p, orbit_size, cells, opposite_cells, bruhat_max)
 
     def sorted_cells(self):
-        return sorted(self.cells, key=lambda w: (w.inversions(), w.images))
+        return sorted(self.cells, key=length_order)
 
     def sorted_opposite(self):
-        return sorted(self.opposite_cells, key=lambda w: (w.inversions(), w.images))
+        return sorted(self.opposite_cells, key=length_order)
 
 
 def intersection_table(

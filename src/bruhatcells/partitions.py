@@ -12,6 +12,7 @@ True
 
 from __future__ import annotations
 
+from ._record import Record
 from .permutations import Permutation
 
 __all__ = [
@@ -22,10 +23,11 @@ __all__ = [
 ]
 
 
-class Partition:
+class Partition(Record):
     """A non-increasing sequence of positive integers."""
 
     __slots__ = ("parts",)
+    parts: tuple[int, ...]
 
     def __init__(self, parts):
         parts = tuple(parts)
@@ -33,10 +35,7 @@ class Partition:
             raise ValueError(f"parts must be positive: {parts}")
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
             raise ValueError(f"parts must be non-increasing: {parts}")
-        object.__setattr__(self, "parts", parts)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Partition is immutable")
+        _set_parts(self, parts)  # the slot directly: each weyl_class_inside builds one
 
     @property
     def weight(self) -> int:
@@ -51,12 +50,6 @@ class Partition:
     def __getitem__(self, k):
         return self.parts[k]
 
-    def __eq__(self, other):
-        return isinstance(other, Partition) and self.parts == other.parts
-
-    def __hash__(self):
-        return hash(self.parts)
-
     def __repr__(self):
         return f"Partition({self.parts})"
 
@@ -67,6 +60,9 @@ class Partition:
     def parse(cls, s: str) -> "Partition":
         """Parse a comma-separated part list such as '2,2,1'."""
         return cls(int(t) for t in s.split(",") if t.strip())
+
+
+_set_parts = Partition.parts.__set__
 
 
 def dominance_leq(lam: Partition, mu: Partition) -> bool:

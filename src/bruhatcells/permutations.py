@@ -16,6 +16,7 @@ import re
 from bisect import insort
 from itertools import permutations as _permutations
 
+from ._record import Record
 from .coxeter import RootSystem, WeylElement
 
 __all__ = [
@@ -31,19 +32,17 @@ __all__ = [
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
 
-class Permutation:
+class Permutation(Record):
     """Immutable permutation of {1..n}; ``images[i-1]`` is the image of i."""
 
     __slots__ = ("images",)
+    images: tuple[int, ...]
 
     def __init__(self, images):
         images = tuple(images)
         if sorted(images) != list(range(1, len(images) + 1)):
             raise ValueError(f"not a permutation of 1..{len(images)}: {images}")
-        object.__setattr__(self, "images", images)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Permutation is immutable")
+        _set_images(self, images)  # the slot directly: products build many
 
     @property
     def degree(self) -> int:
@@ -63,12 +62,6 @@ class Permutation:
         for i, j in enumerate(self.images, start=1):
             out[j - 1] = i
         return Permutation(out)
-
-    def __eq__(self, other):
-        return isinstance(other, Permutation) and self.images == other.images
-
-    def __hash__(self):
-        return hash(self.images)
 
     def __repr__(self):
         return f"Permutation.parse({self.cycle_string()!r}, {self.degree})"
@@ -110,9 +103,8 @@ class Permutation:
 
     def cycle_lengths(self) -> tuple[int, ...]:
         """All cycle lengths including fixed points, non-increasing."""
-        moved = sum(len(c) for c in self.cycles())
-        lens = sorted((len(c) for c in self.cycles()), reverse=True)
-        return tuple(lens) + (1,) * (self.degree - moved)
+        lens = sorted(map(len, self.cycles()), reverse=True)
+        return tuple(lens) + (1,) * (self.degree - sum(lens))
 
     def cycle_string(self) -> str:
         cycles = self.cycles()
@@ -165,6 +157,14 @@ class Permutation:
         if len(images) != degree:
             raise ValueError(f"one-line form has {len(images)} entries, expected {degree}")
         return cls(images)
+
+
+_set_images = Permutation.images.__set__
+
+
+def length_order(w: Permutation):
+    """Sort key of permutations by Coxeter length, then one-line form."""
+    return w.inversions(), w.images
 
 
 def exceedances(w: Permutation) -> int:

@@ -76,7 +76,7 @@ class EigenData(Record):
         return sum(self.blocks)
 
 
-class JordanClass:
+class JordanClass(Record):
     """Jordan data of a conjugacy class in SL(n+1).
 
     ``values`` optionally assigns an integer to each label, to be read in a
@@ -85,6 +85,9 @@ class JordanClass:
     """
 
     __slots__ = ("n_plus_1", "eigen_data", "values")
+    n_plus_1: int
+    eigen_data: tuple[EigenData, ...]
+    values: dict[str, int] | None
 
     def __init__(self, n_plus_1: int, eigen_data, values=None):
         if type(n_plus_1) is not int or n_plus_1 < 1:
@@ -109,22 +112,9 @@ class JordanClass:
                 raise ValueError("values must cover exactly the labels")
             if not all(type(v) is int for v in values.values()):
                 raise ValueError(f"values must be integers: {values}")
-        object.__setattr__(self, "n_plus_1", n_plus_1)
-        object.__setattr__(self, "eigen_data", eigen_data)
-        object.__setattr__(self, "values", values)
+        super().__init__(n_plus_1, eigen_data, values)
 
-    def __setattr__(self, *a):
-        raise AttributeError("JordanClass is immutable")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, JordanClass)
-            and self.n_plus_1 == other.n_plus_1
-            and self.eigen_data == other.eigen_data
-            and self.values == other.values
-        )
-
-    def __hash__(self):
+    def __hash__(self):  # values is a dict
         return hash((self.n_plus_1, self.eigen_data))
 
     def __repr__(self):
@@ -372,13 +362,14 @@ def _check_degree(c: JordanClass, w: Permutation):
         )
 
 
-def format_class_summary(c: JordanClass) -> list[str]:
-    """Human-readable core invariants, one per line."""
+def format_class_summary(c: JordanClass) -> list[tuple[str, str]]:
+    """Human-readable core invariants as (name, value) pairs, printed one
+    per line as "name: value"."""
     return [
-        f"class: SL({c.n_plus_1}) {c.describe()}",
-        f"eigenspace corank: {eigenspace_corank(c)}",
-        f"two-cycle cap: {two_cycle_cap(c)}",
-        f"block-sum partition: {block_sum_partition(c)}",
-        f"dense-cell involution: {dense_cell_involution(c).cycle_string()}",
-        f"central: {'yes' if c.is_central else 'no'}",
+        ("class", f"SL({c.n_plus_1}) {c.describe()}"),
+        ("eigenspace corank", str(eigenspace_corank(c))),
+        ("two-cycle cap", str(two_cycle_cap(c))),
+        ("block-sum partition", str(block_sum_partition(c))),
+        ("dense-cell involution", dense_cell_involution(c).cycle_string()),
+        ("central", "yes" if c.is_central else "no"),
     ]

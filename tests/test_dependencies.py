@@ -1,8 +1,10 @@
 """The library has no runtime dependencies: importing it and its CLI loads
 only the standard library, and ``pyproject.toml`` declares none.  Nor does
 it load the code-introspection modules that ``dataclasses`` pulls in, which
-would add milliseconds to every start of the command line."""
+would add milliseconds to every start of the command line.  Its sources
+parse as the oldest Python that ``pyproject.toml`` admits."""
 
+import ast
 import json
 import subprocess
 import sys
@@ -59,3 +61,11 @@ def test_pyproject_declares_no_dependencies():
     with open(ROOT / "pyproject.toml", "rb") as fh:
         project = tomllib.load(fh)["project"]
     assert project["dependencies"] == []
+
+
+@pytest.mark.parametrize(
+    "path", sorted((SRC / "bruhatcells").glob("*.py")), ids=lambda path: path.name
+)
+def test_sources_parse_as_python_3_10(path):
+    # pyproject.toml: requires-python = ">=3.10"
+    ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
