@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 
 from .conjugacy import (
     _fmt,
@@ -302,7 +303,10 @@ def cmd_oracle(args) -> int:
     return 0 if not fatal else CHECK_FAILED
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it as it
+    was, so every call of ``main`` shares it."""
     parser = argparse.ArgumentParser(
         prog="bruhatcells",
         description="Conjugacy classes meeting Bruhat cells: catalogs, "

@@ -379,29 +379,63 @@ def _strongly_linked(rs: RootSystem, t, centralizer, u, v) -> bool:
     return False
 
 
-def _strong_component(rs: RootSystem, stratum) -> set:
-    """The perms that strong-conjugation chains link to u0 = stratum[0], by
-    a search over stratum, the perms of u0's class with u0's length.
+def _shift_components(rs: RootSystem, stratum) -> list:
+    """The stratum split by equal-length cyclic shifts: lists of perms in
+    the order reached, the one holding stratum[0] first.
 
-    The relation is symmetric: when x is a strong step from u to v, x^-1 is
-    one from v to u, with the two length conditions swapped.  So each pair
-    is tested at most once.
+    A shift u -> s*u*s, s simple, is admitted when s*u*s lies in the stratum
+    and s is a descent of u on one side, l(s*u) = l(u) - 1 or l(u*s) =
+    l(u) - 1; then x = s is a strong conjugation step from u to s*u*s.
     """
-    u0 = stratum[0]
-    t, centralizer = _conjugator_cosets(rs, u0)
-    unseen = list(stratum[1:])
-    reached = {u0}
-    todo = [u0]
-    while todo and unseen:
-        u = todo.pop()
-        rest = []
-        for v in unseen:
-            if _strongly_linked(rs, t, centralizer, u, v):
-                reached.add(v)
-                todo.append(v)
-            else:
-                rest.append(v)
-        unseen = rest
+    conj, right, mul, length = rs._conj, rs._right, rs._mul, rs._length
+    below = length(stratum[0]) - 1
+    unseen = set(stratum)
+    components = []
+    for start in stratum:
+        if start not in unseen:
+            continue
+        unseen.discard(start)
+        component = [start]
+        for u in component:
+            for i, s in enumerate(rs.simple_reflections):
+                v = conj(u, i, i)
+                if v in unseen and (
+                    length(right(u, i)) == below or length(mul(s.perm, u)) == below
+                ):
+                    unseen.discard(v)
+                    component.append(v)
+        components.append(component)
+    return components
+
+
+def _strong_component(rs: RootSystem, stratum) -> set:
+    """The perms that strong-conjugation chains link to u0 = stratum[0],
+    within stratum, the perms of u0's class with u0's length.
+
+    Equal-length cyclic shifts are strong steps (Geck-Pfeiffer, Characters
+    of Finite Coxeter Groups and Iwahori-Hecke Algebras, 2000, §3.2), and
+    on a maximal stratum they alone link most classes.  Only when they
+    leave more than one component is the centralizer C_W(u0) built; the
+    components are then joined by strong steps from reached perms, stopping
+    at the first step into each.  The relation is symmetric (when x is a
+    strong step from u to v, x^-1 is one from v to u), so a component that
+    no reached perm steps into is not linked.
+    """
+    first, *rest = _shift_components(rs, stratum)
+    reached = set(first)
+    if rest:
+        t, centralizer = _conjugator_cosets(rs, stratum[0])
+        todo = list(first)
+        while todo and rest:
+            u = todo.pop()
+            unlinked = []
+            for component in rest:
+                if any(_strongly_linked(rs, t, centralizer, u, v) for v in component):
+                    reached.update(component)
+                    todo += component
+                else:
+                    unlinked.append(component)
+            rest = unlinked
     return reached
 
 
@@ -694,6 +728,11 @@ def verify_ascent_classes(t, allow_large: bool = False) -> Report:
     """Two facts about every conjugacy class: each element admits an ascent
     chain to a maximal-length element, and all maximal-length elements are
     pairwise linked by strong-conjugation chains.
+
+    Equal-length cyclic shifts u -> s*u*s are strong steps (Geck-Pfeiffer
+    2000, §3.2), so a maximal stratum is first linked by shifts alone; a
+    centralizer is built only for a class whose stratum they leave in
+    several components (3 of the 25 classes of W(E6)).
 
     The classes come from the whole group, so it refuses Weyl groups with
     more than STRONG_CONJ_LIMIT elements unless allow_large is set.

@@ -13,7 +13,7 @@ True
 from __future__ import annotations
 
 import re
-from bisect import insort
+from bisect import bisect
 from itertools import permutations as _permutations
 
 from ._record import Record
@@ -199,16 +199,21 @@ def involutions(n: int):
 def bruhat_leq_perm(u: Permutation, w: Permutation) -> bool:
     """Whether u <= w in the Bruhat order of S_n, by the tableau criterion
     (Bjorner-Brenti, Combinatorics of Coxeter Groups, Thm 2.1.5): for every
-    i, the sorted images u(1..i) are entrywise at most those of w."""
+    i, the sorted images u(1..i) are entrywise at most those of w.  Each
+    step inserts one image into each prefix, which leaves the entries before
+    the earlier insertion point in place, so only the rest is compared."""
     if u.degree != w.degree:
         raise ValueError(f"degrees differ: {u.degree} and {w.degree}")
     prefix_u, prefix_w = [], []
     # the full prefixes are both 1..n, so the last one needs no check
     for x, y in zip(u.images[:-1], w.images[:-1]):
-        insort(prefix_u, x)
-        insort(prefix_w, y)
-        if any(a > b for a, b in zip(prefix_u, prefix_w)):
-            return False
+        i = bisect(prefix_u, x)
+        prefix_u.insert(i, x)
+        j = bisect(prefix_w, y)
+        prefix_w.insert(j, y)
+        for k in range(min(i, j), len(prefix_u)):
+            if prefix_u[k] > prefix_w[k]:
+                return False
     return True
 
 

@@ -6,10 +6,11 @@ there are no tolerances, only exact equality.
 """
 
 import json
+import pathlib
 
 import pytest
 
-from bruhatcells import clear_caches
+from bruhatcells import clear_caches, conjugacy
 from bruhatcells.cli import main
 from bruhatcells.conjugacy import (
     involution_classes,
@@ -54,6 +55,9 @@ COXETER_TYPES = [
     "B2", "B3", "B4", "C2", "C3", "C4", "D4",
     "G2", "F4",
 ]
+
+
+EXPECTED = pathlib.Path(__file__).resolve().parent / "expected"
 
 
 def announce(name, ok, detail=""):
@@ -235,15 +239,26 @@ def test_optional_e7_classification():
     announce("classification size E7", got == 6, f"got {got}, want 6")
 
 
-def test_e6_ascent_and_strong_conjugation():
+def test_e6_ascent_and_strong_conjugation(monkeypatch):
     """The E6 ascent suite under the override: 25 classes of W(E6), 51,840
-    elements, each maximal stratum linked through the centralizer cosets of
-    one of its members; 1.6-2.0 s of CPU time and 43 MB peak RSS (2 vCPUs,
-    Python 3.11), against 360 s and 149 MB trying every element of W as a
-    conjugator."""
+    elements.  Of the 21 classes with several maxima, cyclic shifts link
+    the maximal stratum of 18, and only the other 3 build a centralizer and
+    join their shift components through its cosets.  0.86-1.19 s of CPU
+    time and 41 MB peak RSS (2 vCPUs, Python 3.11), against 360 s and 149 MB
+    trying every element of W as a conjugator.  The report is pinned in
+    tests/expected/ascent_E6.json."""
+    calls = []
+    build = conjugacy._conjugator_cosets
+    monkeypatch.setattr(
+        conjugacy, "_conjugator_cosets", lambda rs, u0: calls.append(u0) or build(rs, u0)
+    )
     try:
         rep = verify_ascent_classes("E6", allow_large=True)
         announce("ascent suite E6", rep.passed, "" if rep.passed else rep.to_text())
+        announce("centralizers built E6", len(calls) == 3, f"got {len(calls)}, want 3")
+        got = json.dumps(rep.to_dict(), indent=2) + "\n"
+        want = (EXPECTED / "ascent_E6.json").read_text(encoding="utf-8")
+        announce("ascent suite E6 as recorded", got == want)
     finally:
         # release the enumerated group and its classes
         clear_caches()

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from bruhatcells.cli import _CATALOG_LIMIT_S, _catalog_cost_s, main
+from bruhatcells.cli import _CATALOG_LIMIT_S, _catalog_cost_s, build_parser, main
 from bruhatcells.coxeter import (
     CartanType,
     build_root_system,
@@ -498,3 +498,38 @@ def test_output_ignores_hash_seed(jordan_file, args):
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1]
     assert json.loads(outputs[0])
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
+def test_reused_parser_prints_what_a_fresh_process_prints(capsys, monkeypatch):
+    # a usage error and --help exit through the shared parser; the run after
+    # them must still print what a fresh process prints.  Help text wraps at
+    # COLUMNS, so both sides read the same width.
+    monkeypatch.setenv("COLUMNS", "80")
+    runs = [
+        ["verify", "--type", "F4", "--format", "xml"],
+        ["--help"],
+        ["verify", "--type", "F4", "--format", "json"],
+    ]
+    got = []
+    for args in runs[:2]:
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        got.append((exc.value.code, *capsys.readouterr()))
+    got.append((main(runs[2]), *capsys.readouterr()))
+    assert [code for code, _, _ in got] == [2, 0, 0]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    fresh = [
+        subprocess.run(
+            [sys.executable, "-m", "bruhatcells", *args],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        for args in runs
+    ]
+    assert got == [(p.returncode, p.stdout, p.stderr) for p in fresh]

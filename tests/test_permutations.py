@@ -28,6 +28,16 @@ def perm_pairs(draw, degrees=(6, 7, 8)):
     return draw(perms(n)), draw(perms(n))
 
 
+def full_prefix_criterion(u, w):
+    """The tableau criterion as stated: for every i, the sorted u(1..i) are
+    entrywise at most the sorted w(1..i)."""
+    return all(
+        a <= b
+        for i in range(1, u.degree + 1)
+        for a, b in zip(sorted(u.images[:i]), sorted(w.images[:i]))
+    )
+
+
 class TestInvolutions:
     @pytest.mark.parametrize("n", range(9))
     def test_matches_filtered_permutations(self, n):
@@ -60,6 +70,19 @@ class TestBruhatLeqPerm:
         assert bruhat_leq_perm(u, w) == bruhat_leq(
             permutation_to_weyl(rs, u), permutation_to_weyl(rs, w)
         )
+
+    @settings(max_examples=500)
+    @given(perm_pairs(degrees=range(1, 8)), st.data())
+    def test_agrees_with_the_full_prefix_criterion(self, pair, data):
+        # random pairs are mostly incomparable, so w is also compared with
+        # the two sides of one transposition, which Bruhat order relates
+        u, w = pair
+        i, j = (data.draw(st.integers(0, w.degree - 1)) for _ in range(2))
+        images = list(w.images)
+        images[i], images[j] = images[j], images[i]
+        v = Permutation(tuple(images))
+        for a, b in ((u, w), (w, u), (w, v), (v, w)):
+            assert bruhat_leq_perm(a, b) == full_prefix_criterion(a, b), (a, b)
 
     def test_extremes(self):
         n = 8

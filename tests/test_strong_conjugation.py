@@ -1,6 +1,9 @@
-"""Strong conjugation over conjugator cosets against a whole-group scan.
+"""Strong conjugation over cyclic shifts and conjugator cosets against a
+whole-group scan.
 
-The library finds the conjugators taking u to v as the coset t_v C t_u^-1 of
+The library first links a stratum by equal-length cyclic shifts
+(``conjugacy._shift_components``), and only where they leave several
+components finds the conjugators taking u to v as the coset t_v C t_u^-1 of
 the centralizer C = C_W(u0) (``conjugacy._conjugator_cosets``).  The
 reference below is the direct definition: every element x of W is tried as
 a conjugator.  It is exhaustive and only feasible for small groups.
@@ -8,12 +11,15 @@ a conjugator.  It is exhaustive and only feasible for small groups.
 
 import pytest
 
+from bruhatcells import conjugacy
 from bruhatcells.conjugacy import (
     _conjugator_cosets,
+    _shift_components,
     _strong_component,
     _strongly_linked,
     conjugacy_classes,
     enumerate_weyl_group,
+    verify_ascent_classes,
 )
 from bruhatcells.coxeter import build_root_system
 
@@ -111,3 +117,84 @@ def test_strongly_conjugate_matches_whole_group_search(name):
                 linked += want
     # in A3 and B3 both answers occur, so the comparison is not vacuous
     assert (checked, linked) == CONJUGATE_PAIRS[name]
+
+
+def _count_cosets(monkeypatch):
+    """Count the calls of ``_conjugator_cosets``, i.e. centralizer builds."""
+    calls = []
+    build = conjugacy._conjugator_cosets
+
+    def counted(rs, u0):
+        calls.append(u0)
+        return build(rs, u0)
+
+    monkeypatch.setattr(conjugacy, "_conjugator_cosets", counted)
+    return calls
+
+
+def _shift_edge(rs, u, v):
+    """Whether v = s*u*s for a simple s with l(u) = l(s*u) + 1 or l(u) =
+    l(u*s) + 1, so that s is a strong conjugation step from u to v."""
+    mul, length = rs._mul, rs._length
+    lu = length(u)
+    return any(
+        rs._conj(u, i, i) == v
+        and lu - 1 in (length(mul(s.perm, u)), length(mul(u, s.perm)))
+        for i, s in enumerate(rs.simple_reflections)
+    )
+
+
+def test_centralizers_only_where_shifts_leave_several_components(monkeypatch):
+    # the types of the benchmark's verify workload; E6 is pinned in
+    # tests/test_acceptance.py, which runs its ascent suite anyway
+    calls = _count_cosets(monkeypatch)
+    per_type = {}
+    for name in ("A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4",
+                 "D4", "G2"):
+        before = len(calls)
+        assert verify_ascent_classes(name).passed
+        per_type[name] = len(calls) - before
+    assert sum(per_type.values()) == 10, per_type
+    assert per_type == {**dict.fromkeys(per_type, 0), "B3": 1, "B4": 3,
+                        "C3": 1, "C4": 3, "D4": 2}
+
+
+@pytest.mark.parametrize("name", EDGE_TYPES)
+def test_shift_components_are_the_components_of_strong_shift_edges(name):
+    rs = build_root_system(name)
+    for c in conjugacy_classes(rs):
+        members = sorted(c.elements, key=lambda w: (w.length, w.rows))
+        for length in {w.length for w in members}:
+            stratum = [w.perm for w in members if w.length == length]
+            components = _shift_components(rs, stratum)
+            assert components[0][0] == stratum[0]
+            assert sorted(p for comp in components for p in comp) == sorted(stratum)
+            for comp in components:
+                # each member is reached by a strong shift from an earlier one
+                for k in range(1, len(comp)):
+                    assert any(_shift_edge(rs, u, comp[k]) for u in comp[:k])
+            # and no strong shift leaves a component
+            for a, comp in enumerate(components):
+                for other in components[a + 1:]:
+                    assert not any(
+                        _shift_edge(rs, u, v) or _shift_edge(rs, v, u)
+                        for u in comp
+                        for v in other
+                    )
+
+
+def test_cosets_join_the_shift_components_of_a_d4_stratum(monkeypatch):
+    rs = build_root_system("D4")
+    group, inverses = _reference(rs)
+    (c,) = [
+        c for c in conjugacy_classes(rs)
+        if [len(comp) for comp in
+            _shift_components(rs, [w.perm for w in c.max_length])] == [2, 2, 2]
+    ]
+    calls = _count_cosets(monkeypatch)
+    tops = sorted(c.max_length, key=lambda w: w.rows)
+    assert _strong_component(rs, [w.perm for w in tops]) == {w.perm for w in tops}
+    assert len(calls) == 1
+    assert all(
+        _reference_strongly_conjugate(tops[0], w, group, inverses) for w in tops
+    )
