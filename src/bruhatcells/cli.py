@@ -25,7 +25,7 @@ from .conjugacy import (
 from .coxeter import _RANK_LIMIT, CartanType, build_root_system
 from .errors import GuardError
 from .partitions import cycle_type
-from .permutations import Permutation, bruhat_leq_perm, length_order
+from .permutations import Permutation, length_order
 from .sl_criteria import (
     JordanClass,
     bruhat_lower_set,
@@ -222,20 +222,20 @@ def cmd_hasse(args) -> int:
         return _fail_usage(
             f"n+1 = {c.n_plus_1} > 6 would produce an unreadable diagram"
         )
-    lower = sorted(bruhat_lower_set(c), key=length_order)
+    lower = bruhat_lower_set(c)
+    ordered = sorted(lower, key=length_order)
     lines = [
         "digraph bruhat_lower_set {",
         "  rankdir=BT;",
         f"  label=\"cells below {dense_cell_involution(c).cycle_string()} "
         f"for SL({c.n_plus_1}) {c.describe()}\";",
     ]
-    for w in lower:
-        lines.append(f'  "{w.cycle_string()}";')
-    length = {w: w.inversions() for w in lower}
-    for u in lower:
-        for v in lower:
-            if length[v] == length[u] + 1 and bruhat_leq_perm(u, v):
-                lines.append(f'  "{u.cycle_string()}" -> "{v.cycle_string()}";')
+    name = {w: w.cycle_string() for w in ordered}
+    for w in ordered:
+        lines.append(f'  "{name[w]}";')
+    for u in ordered:
+        for v in sorted(_covers(u) & lower, key=length_order):
+            lines.append(f'  "{name[u]}" -> "{name[v]}";')
     lines.append("}")
     text = "\n".join(lines)
     if args.out:
@@ -247,6 +247,22 @@ def cmd_hasse(args) -> int:
     else:
         print(text)
     return 0
+
+
+def _covers(u: Permutation) -> set[Permutation]:
+    """The elements covering u in the Bruhat order: u*(i j) for i < j with
+    u(i) < u(j) and no u(k) between them for i < k < j (Bjorner-Brenti,
+    Combinatorics of Coxeter Groups, Section 2.1)."""
+    im = u.images
+    out = set()
+    for i, x in enumerate(im):
+        bound = len(im) + 1  # the least u(k) above u(i) so far
+        for j in range(i + 1, len(im)):
+            if x < im[j] < bound:
+                bound = im[j]
+                v = im[:i] + (bound,) + im[i + 1 : j] + (x,) + im[j + 1 :]
+                out.add(Permutation(v))
+    return out
 
 
 def cmd_oracle(args) -> int:

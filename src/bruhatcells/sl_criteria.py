@@ -1,30 +1,24 @@
 """Decision procedures for conjugacy classes of SL(n+1) meeting Bruhat cells.
 
-A class is described by its Jordan data: distinct eigenvalue labels, each
-with a non-increasing list of block sizes.  Every criterion here depends on
-the block data only, so eigenvalues stay abstract labels; concrete field
-values are optional and only validated when a finite-field oracle consumes
-them.  The Weyl group is S_{n+1}; for an involution w the class meets the
-cell of w exactly when the 2-cycle count of w stays within a cap computed
-from the Jordan data, and a whole Weyl conjugacy class lies inside the
-intersection set exactly when its cycle type is dominated by the partition
-obtained by summing block sizes across eigenvalues.
+A class is given by its Jordan data: distinct eigenvalue labels, each with
+non-increasing block sizes.  The criteria read the blocks only; field values
+are optional and checked by the finite-field oracle that uses them.  In the
+Weyl group S_{n+1}, the cell of an involution meets the class exactly when
+its 2-cycle count is within a cap computed from the Jordan data, and a whole
+Weyl class lies inside the intersection set exactly when its cycle type is
+dominated by the block-sum partition.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import permutations
+from math import factorial
 
 from ._record import Record
 from .errors import GuardError
-from .partitions import Partition, dominance_leq
-from .permutations import (
-    Permutation,
-    all_permutations,
-    bruhat_leq_perm,
-    exceedances,
-    involutions,
-)
+from .partitions import Partition, dominance_leq, partitions_of
+from .permutations import Permutation, exceedances, involutions
 
 __all__ = [
     "JordanClass",
@@ -165,8 +159,6 @@ def abstract_jordan_classes(n_plus_1: int):
     """All Jordan classes of SL(n+1) up to relabeling: multisets of block
     partitions with total size n+1, labels c1, c2, ...
     """
-    from .partitions import partitions_of
-
     shapes = []
     for k in range(1, n_plus_1 + 1):
         shapes.extend(p.parts for p in partitions_of(k))
@@ -267,24 +259,42 @@ def bruhat_lower_set(c: JordanClass) -> frozenset[Permutation]:
     this is the set of opposite cells BwB^- the class meets."""
     n_plus_1 = c.n_plus_1
     if n_plus_1 > _LOWER_SET_DEGREE_LIMIT:
+        scan = f"{n_plus_1}!"
+        if n_plus_1 <= 20:  # by default str() refuses factorials past 1,558!
+            scan += f" = {factorial(n_plus_1):,}"
         raise GuardError(
             f"degree {n_plus_1} > {_LOWER_SET_DEGREE_LIMIT}: the Bruhat lower set "
             f"below the dense-cell involution of {c.describe()} is built only up "
             f"to degree {_LOWER_SET_DEGREE_LIMIT}, and validate_class needs it to "
-            "check the opposite cells and the cells below the dense element"
+            "check the opposite cells and the cells below the dense element; its "
+            f"scan would read all {scan} permutations"
         )
     return _lower_set(n_plus_1, two_cycle_cap(c))
 
 
 @lru_cache(maxsize=None)
 def _lower_set(n_plus_1: int, l: int) -> frozenset[Permutation]:
-    """The Bruhat interval below nested_involution(n_plus_1, l); it depends
-    on the class only through (degree, cap), and _LOWER_SET_DEGREE_LIMIT
-    bounds the number of entries."""
-    top = nested_involution(n_plus_1, l)
-    return frozenset(
-        w for w in all_permutations(n_plus_1) if bruhat_leq_perm(w, top)
-    )
+    """The Bruhat interval below w_l = nested_involution(n+1, l): the w in
+    S_{n+1} whose prefix crossings c(i) = #{a <= i : w(a) > i} are <= l.
+
+    u <= w iff u[i, j] <= w[i, j] for all i, j, where w[i, j] = #{a <= i :
+    w(a) >= j} (Bjorner-Brenti, Thm 2.1.5).  Necessity: c(i) = w[i, i+1]
+    and w_l[i, i+1] = min(i, l, n+1-i).  Sufficiency: if j > i, w[i, j] <=
+    min(i, n+2-j, c(i)); if j <= i, at most c(i) values below j lie beyond
+    i, so w[i, j] <= i-j+1 + min(c(i), j-1, n+1-i).  w_l attains both
+    bounds with c(i) replaced by l."""
+    members = []
+    for im in permutations(range(1, n_plus_1 + 1)):
+        # c(i) = c(i-1) + [w(i) > i] - [i is among w(1..i-1)]
+        seen = crossing = 0
+        for i, x in enumerate(im, 1):
+            crossing += (x > i) - (seen >> i & 1)
+            if crossing > l:
+                break
+            seen |= 1 << x
+        else:
+            members.append(Permutation(im))
+    return frozenset(members)
 
 
 def is_spherical(c: JordanClass) -> bool:
@@ -319,7 +329,8 @@ def spherical_weyl_set(c: JordanClass) -> frozenset[Permutation]:
 
 
 class ClosureMonotonicity(Record):
-    """Combinatorial consequences of one class lying in another's closure."""
+    """Combinatorial consequences of one class lying in another's closure;
+    all three fields equal the cap comparison (see closure_monotonicity)."""
 
     __slots__ = ("cap_monotone", "cells_monotone", "dense_elements_comparable")
     cap_monotone: bool            # cap of inner <= cap of outer
@@ -339,20 +350,15 @@ def closure_monotonicity(inner: JordanClass, outer: JordanClass) -> ClosureMonot
 
     The caller asserts the geometric containment; this only verifies that
     every involution cell met by the inner class is met by the outer one
-    and that the dense-cell involutions are comparable.
+    and that the dense-cell involutions are comparable: all three fields
+    equal the cap comparison.
     """
     if inner.n_plus_1 != outer.n_plus_1:
         raise ValueError("classes live in different groups")
-    # involution_cell_meets(c, w) is exceedances(w) <= two_cycle_cap(c).  The
-    # involutions of S_{n+1} have exactly the exceedance counts
-    # 0..floor((n+1)/2), and the cap never exceeds floor((n+1)/2), so every
-    # cell met by the inner class is met by the outer one iff the caps are
-    # monotone.
+    # Involutions take each exceedance count 0..floor((n+1)/2), the range of
+    # the caps; w_l's largest prefix crossing is l, so w_l <= w_l' iff l <= l'.
     cap_monotone = two_cycle_cap(inner) <= two_cycle_cap(outer)
-    comparable = bruhat_leq_perm(
-        dense_cell_involution(inner), dense_cell_involution(outer)
-    )
-    return ClosureMonotonicity(cap_monotone, cap_monotone, comparable)
+    return ClosureMonotonicity(cap_monotone, cap_monotone, cap_monotone)
 
 
 def _check_degree(c: JordanClass, w: Permutation):

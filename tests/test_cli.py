@@ -13,8 +13,13 @@ from bruhatcells.coxeter import (
     build_root_system,
     bruhat_leq,
 )
-from bruhatcells.permutations import permutation_to_weyl
-from bruhatcells.sl_criteria import abstract_jordan_classes, bruhat_lower_set
+from bruhatcells.permutations import bruhat_leq_perm, length_order, permutation_to_weyl
+from bruhatcells.sl_criteria import (
+    JordanClass,
+    abstract_jordan_classes,
+    bruhat_lower_set,
+    dense_cell_involution,
+)
 
 TRANSVECTION4 = {
     "n_plus_1": 4,
@@ -333,6 +338,38 @@ class TestHasse:
             }
             assert edges == covers, c.describe()
 
+    @staticmethod
+    def pair_scan_dot(c):
+        """The diagram with every pair of the lower set tested for a cover."""
+        lower = sorted(bruhat_lower_set(c), key=length_order)
+        lines = [
+            "digraph bruhat_lower_set {",
+            "  rankdir=BT;",
+            f"  label=\"cells below {dense_cell_involution(c).cycle_string()} "
+            f"for SL({c.n_plus_1}) {c.describe()}\";",
+        ]
+        lines += [f'  "{w.cycle_string()}";' for w in lower]
+        length = {w: w.inversions() for w in lower}
+        lines += [
+            f'  "{u.cycle_string()}" -> "{v.cycle_string()}";'
+            for u in lower
+            for v in lower
+            if length[v] == length[u] + 1 and bruhat_leq_perm(u, v)
+        ]
+        return "\n".join(lines + ["}"]) + "\n"
+
+    @pytest.mark.parametrize("n_plus_1", [2, 3, 4, 5, 6])
+    def test_covers_by_transpositions_match_the_pair_scan(
+        self, jordan_file, capsys, n_plus_1
+    ):
+        # every class up to degree 5, and the whole of S_6 below w0
+        classes = list(abstract_jordan_classes(n_plus_1))
+        if n_plus_1 == 6:
+            classes = [JordanClass(6, [(f"c{i}", (1,)) for i in range(6)])]
+        for c in classes:
+            assert main(["hasse", "--jordan", jordan_file(c.to_json_dict())]) == 0
+            assert capsys.readouterr().out == self.pair_scan_dot(c), c.describe()
+
     def test_size_guard(self, jordan_file):
         path = jordan_file(
             {"n_plus_1": 7, "eigen_data": [{"label": "c", "blocks": [1] * 7}]}
@@ -410,7 +447,8 @@ class TestOracle:
             "error: degree 9 > 8: the Bruhat lower set below the dense-cell "
             f"involution of {describe} is built only up to degree 8, and "
             "validate_class needs it to check the opposite cells and the cells "
-            "below the dense element\n"
+            "below the dense element; its scan would read all 9! = 362,880 "
+            "permutations\n"
         )
 
 

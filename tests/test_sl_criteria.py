@@ -25,6 +25,7 @@ from bruhatcells.sl_criteria import (
     two_cycle_cap,
     weyl_class_inside,
 )
+from bruhatcells import sl_criteria
 from bruhatcells.errors import GuardError
 
 CENTRAL4 = JordanClass(4, [("c", (1, 1, 1, 1))])
@@ -286,8 +287,39 @@ class TestBruhatLowerSet:
 
     def test_guard(self):
         big = JordanClass(9, [("c", (1,) * 9)])
-        with pytest.raises(GuardError):
+        with pytest.raises(GuardError, match=r"read all 9! = 362,880 permutations$"):
             bruhat_lower_set(big)
+
+    @pytest.mark.parametrize(
+        "degree, scan", [(20, "20! = 2,432,902,008,176,640,000"), (5000, "5000!")]
+    )
+    def test_guard_states_the_scan_at_any_degree(self, degree, scan):
+        # 5000! has more digits than int-to-str conversion allows by default
+        big = JordanClass(degree, [("c", (degree,))])
+        with pytest.raises(GuardError, match=rf"read all {scan} permutations$"):
+            bruhat_lower_set(big)
+
+
+class TestPrefixCrossings:
+    """w <= nested_involution(n, l) iff every prefix crossing of w is at
+    most l, against the tableau criterion of bruhat_leq_perm."""
+
+    @pytest.mark.parametrize("n", range(1, sl_criteria._LOWER_SET_DEGREE_LIMIT + 1))
+    def test_lower_set_is_the_tableau_filter(self, n):
+        # every (degree, cap) the guard admits; uncached, so nothing stays
+        perms = list(all_permutations(n))
+        for l in range(n // 2 + 1):
+            top = nested_involution(n, l)
+            want = frozenset(w for w in perms if bruhat_leq_perm(w, top))
+            assert sl_criteria._lower_set.__wrapped__(n, l) == want, (n, l)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_nested_involutions_form_a_chain(self, n):
+        caps = range(n // 2 + 1)
+        for l in caps:
+            for m in caps:
+                got = bruhat_leq_perm(nested_involution(n, l), nested_involution(n, m))
+                assert got == (l <= m), (n, l, m)
 
 
 class TestSpherical:
