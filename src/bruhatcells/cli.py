@@ -13,16 +13,14 @@ import sys
 from functools import lru_cache
 
 from .conjugacy import (
-    _fmt,
-    catalog_subsets,
-    subset_involution,
+    _catalog_entries,
     verify_ascent_classes,
     verify_coxeter_bound,
     verify_subset_conjugacy,
     verify_twisted_minimum,
     verify_unique_max_classification,
 )
-from .coxeter import _RANK_LIMIT, CartanType, build_root_system
+from .coxeter import _RANK_LIMIT, CartanType
 from .errors import GuardError
 from .partitions import cycle_type
 from .permutations import Permutation, length_order
@@ -55,22 +53,6 @@ _VERIFY_CHECKS = {
 }
 
 
-# CPU seconds of `catalog` are at most k * rank^5, k fitted per family as the
-# largest ratio measured: each entry walks to its parabolic longest element,
-# and outside type A each printed involution is a reduced word.  Measured
-# with the root system build, 3-8 runs each (2 vCPUs, Python 3.11): A40
-# 0.21-0.30 s, A53 0.86-1.11 s, A60 1.44-1.94 s, A70 3.0-3.7 s, A80
-# 5.5-6.4 s; B30 1.0-1.6 s, B38 3.4-4.9 s, B40 5.7-6.5 s; C30 1.1-1.7 s,
-# C38 3.3-4.7 s, C40 5.8-6.4 s; D30 0.7-1.0 s, D38 2.6-3.4 s, D40 3.8-4.3 s.
-# E, F and G have bounded rank (E8 takes 0.01 s).
-_CATALOG_COST = {"A": 3.0e-9, "B": 6.9e-8, "C": 6.9e-8, "D": 4.3e-8}
-_CATALOG_LIMIT_S = 5.0
-
-
-def _catalog_cost_s(t: CartanType) -> float:
-    return _CATALOG_COST.get(t.family, 0.0) * t.rank**5
-
-
 def _fail_usage(msg: str) -> int:
     print(f"error: {msg}", file=sys.stderr)
     return USAGE_ERROR
@@ -84,27 +66,9 @@ def _load_jordan(path: str) -> JordanClass:
 def cmd_catalog(args) -> int:
     try:
         t = CartanType.from_string(args.type)
-    except ValueError as exc:
+        members = _catalog_entries(t)
+    except (ValueError, GuardError) as exc:
         return _fail_usage(str(exc))
-    cost = _catalog_cost_s(t)
-    if cost > _CATALOG_LIMIT_S:
-        return _fail_usage(
-            f"catalog for {t} would take about {cost:,.0f} s of CPU time "
-            f"(estimated as {_CATALOG_COST[t.family]:g} * rank^5 s), above the "
-            f"{_CATALOG_LIMIT_S:g} s limit"
-        )
-    rs = build_root_system(t)
-    subsets = sorted(catalog_subsets(t), key=lambda J: (len(J), sorted(J)))
-    members = []
-    for J in subsets:
-        m = subset_involution(rs, J)
-        members.append(
-            {
-                "subset": sorted(J),
-                "element": _fmt(m),
-                "length": m.length,
-            }
-        )
     if args.format == "json":
         print(json.dumps({"type": str(t), "entries": members}, indent=2))
     else:

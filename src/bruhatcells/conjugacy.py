@@ -5,7 +5,8 @@ member of their conjugacy class.  They are classified by subsets J of the
 simple roots satisfying two conditions ("Property (1)" and "Property (2)"
 below); the subset J corresponds to the involution w0 * w0J.  This module
 materializes classes by orbit search, computes those sets, carries the
-per-family catalog of classifying subsets, and bundles the exhaustive
+per-family catalog of classifying subsets and walks its involutions on
+simple-root images, with no root system, and bundles the exhaustive
 verification suites that check the classification and its corollaries.
 """
 
@@ -21,7 +22,11 @@ from .coxeter import (
     RootSystem,
     WeylElement,
     _coerce_type,
+    _image_walk,
     _rank_guard,
+    _walk_longest,
+    _walk_reduced_word,
+    _word_str,
     bruhat_leq,
     build_root_system,
     coxeter_elements,
@@ -30,7 +35,7 @@ from .coxeter import (
     longest_element,
 )
 from .errors import GuardError
-from .permutations import weyl_to_permutation
+from .permutations import _from_simple_images, _root_pair, weyl_to_permutation
 from .report import Report
 
 __all__ = [
@@ -70,6 +75,13 @@ STRONG_CONJ_LIMIT = 10**4
 # level once), so the line is an upper bound.
 ENUMERATION_BYTES_PER_ELEMENT = 118
 ENUMERATION_BYTES_PER_ROOT = 2.44
+# CPU seconds per walk step and coordinate of a catalog, one constant for
+# every family: above the largest ratio of CPU time to (entries + 1) * N *
+# rank measured on the classical types of rank 20-60, three runs each
+# (2 vCPUs, Python 3.11): 131-274 ns in B, C and D.  Type A prints cycles,
+# which need no walk, at 40-83 ns, so its estimate is about 5 times high.
+_CATALOG_STEP_S = 3.0e-7
+_CATALOG_LIMIT_S = 5.0
 
 
 def _physical_mb() -> float | None:
@@ -558,6 +570,60 @@ def catalog_subsets(t) -> frozenset[frozenset[int]]:
     return frozenset(out)
 
 
+def _catalog_guard(t: CartanType, entries: int, known: bool = True) -> None:
+    """Refuse a catalog estimated above _CATALOG_LIMIT_S: a walk of at most N
+    steps to w0 and one to each w0J, and one down each printed word, each
+    step O(rank).  With known=False, entries is a lower bound on the count."""
+    n_pos = t.positive_root_count
+    cost = _CATALOG_STEP_S * (entries + 1) * n_pos * t.rank
+    if cost > _CATALOG_LIMIT_S:
+        walks = f"{entries + 1:,}" if known else f"at least {entries + 1}"
+        raise GuardError(
+            f"catalog for {t} would take about {cost:,.2f} s of CPU time, above "
+            f"the {_CATALOG_LIMIT_S:g} s limit: {walks} walks of up to N = {n_pos:,} "
+            f"steps of rank {t.rank}, at {_CATALOG_STEP_S * 1e9:g} ns per step "
+            "and rank"
+        )
+
+
+def _catalog_entries(t) -> list[dict]:
+    """The catalog entries as ``bruhatcells catalog`` prints them: each
+    subset J, sorted by size and then entries, with m_J = w0 * w0J formatted
+    as ``_fmt`` formats it and its length.  The walks read only the simple-root
+    images (``coxeter._image_walk``), so no root system is built:
+
+    - w0 and each w0J grow by the rule of ``longest_element``;
+    - m_J(alpha_i) = w0(w0J(alpha_i)), and w0(alpha_k) = -alpha_delta(k),
+      with delta read off w0's images; delta is an involution;
+    - l(m_J) = N - l(w0J);
+    - in type A, m_J(alpha_i) = e_m(i) - e_m(i+1) gives the cycles; else the
+      reduced word is walked as ``reduced_word`` walks it.
+
+    Guarded by _CATALOG_LIMIT_S, first on the two trivial subsets alone, so
+    a huge rank is refused before ``catalog_subsets`` builds rank^2 data.
+    """
+    t = _coerce_type(t)
+    _catalog_guard(t, 2, known=False)
+    subsets = sorted(catalog_subsets(t), key=lambda J: (len(J), sorted(J)))
+    _catalog_guard(t, len(subsets))
+    start, step = _image_walk(t)
+    w0, negative = start()
+    n_pos = _walk_longest(step, w0, negative, range(t.rank))
+    delta = [next(k for k, c in enumerate(a) if c) for a in w0]
+    out = []
+    for J in subsets:
+        images, negative = start()
+        length = n_pos - _walk_longest(step, images, negative, sorted(i - 1 for i in J))
+        images = [tuple(-a[k] for k in delta) for a in images]
+        if t.family == "A":
+            element = _from_simple_images(list(map(_root_pair, images))).cycle_string()
+        else:
+            negative = [min(a) < 0 for a in images]
+            element = _word_str(_walk_reduced_word(step, images, negative))
+        out.append({"subset": sorted(J), "element": element, "length": length})
+    return out
+
+
 def _fmt(w: WeylElement) -> str:
     """Cycle notation in type A, a space-separated reduced word otherwise."""
     if w.rs.cartan_type.family == "A":
@@ -566,8 +632,8 @@ def _fmt(w: WeylElement) -> str:
 
 
 def _suite_system(t) -> RootSystem:
-    """The root system of t, built only once the rank guard admits t:
-    building it is the costly part of a refusal (A60 takes seconds)."""
+    """The root system of t, built only once the rank guard admits t, so a
+    type past the rank bound is refused for its rank, not its root count."""
     t = _coerce_type(t)
     _rank_guard(t.rank)
     return build_root_system(t)

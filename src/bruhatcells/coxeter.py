@@ -3,15 +3,17 @@
 Roots are integer coordinate vectors in the simple-root basis.  Group
 elements are permutations of the root indices, as in GAP/CHEVIE and
 Casselman's reflection tables, so they are exact, canonical and hashable
-for every type, including the exceptional ones.  Where there are at most
-256 roots a permutation is a ``bytes`` object, and a product or a generator
-step is one C-level ``bytes.translate`` call: in E7, with the new element
-built, 0.9 us each, against 1.9 and 2.5 us with tuples of ints (2 vCPUs,
-Python 3.11).  Larger systems keep tuples.  The integer matrix of an
+for every type, including the exceptional ones.  A permutation is a
+``bytes`` object, one byte per root, and a product or a generator step is
+one C-level ``bytes.translate`` call: in E7, with the new element built,
+0.9 us each (2 vCPUs, Python 3.11).  So a root system has at most 256
+roots, which holds for every type the suites and the benchmark build;
+``build_root_system`` refuses a larger one.  The integer matrix of an
 element is derived when asked for.
 The module provides the length function, longest elements of parabolic
 subgroups, the Bruhat order, the automorphism w |-> w0*w*w0, reduced words
-and Coxeter elements.
+and Coxeter elements, and a walk on the simple-root images w(alpha_i)
+alone, which needs no root system and so serves any rank.
 
 Conventions: simple roots are numbered 1..n following the usual Bourbaki
 diagrams (for D_n the two fork ends are alpha_{n-1}, alpha_n; for E_n the
@@ -25,7 +27,7 @@ import re
 import weakref
 from functools import lru_cache
 from math import factorial
-from operator import itemgetter
+from operator import add, neg
 
 from ._record import Record
 from .errors import GuardError
@@ -51,6 +53,8 @@ __all__ = [
 ENUMERATION_LIMIT = 10**7
 # The involution side never walks W; at rank 9 its suites take <= 4.7 s and 115 MB.
 _RANK_LIMIT = 9
+# A permutation of the roots is one byte per root.
+_ROOT_LIMIT = 256
 
 # Every RootSystem ever constructed, so _clear_caches reaches
 # the memos of instances that callers still hold.
@@ -112,6 +116,21 @@ class CartanType(Record):
             return 12
         return {6: 51840, 7: 2903040, 8: 696729600}[n]
 
+    @property
+    def positive_root_count(self) -> int:
+        """N = |Phi+| = rank * h / 2, h the Coxeter number; N = l(w0)."""
+        n = self.rank
+        h = {
+            "A": n + 1,
+            "B": 2 * n,
+            "C": 2 * n,
+            "D": 2 * n - 2,
+            "E": {6: 12, 7: 18, 8: 30}.get(n),
+            "F": 12,
+            "G": 6,
+        }[self.family]
+        return n * h // 2
+
 
 def _rank_guard(rank: int) -> None:
     if rank > _RANK_LIMIT:
@@ -149,16 +168,32 @@ def _diagram(t: CartanType):
     return [(0, 1)], [1, 3]  # G2: alpha_1 short, alpha_2 long
 
 
+def _forms(t: CartanType):
+    """The symmetrized pairing, with short roots of squared length 2, and the
+    Cartan integers C[i][j] = 2<a_i,a_j>/<a_i,a_i> = <alpha_j, alpha_i^vee>."""
+    n = t.rank
+    edges, d = _diagram(t)
+    adj = {(i, j) for i, j in edges} | {(j, i) for i, j in edges}
+    pairing = tuple(
+        tuple(
+            2 * d[i] if i == j else (-max(d[i], d[j]) if (i, j) in adj else 0)
+            for j in range(n)
+        )
+        for i in range(n)
+    )
+    cartan = tuple(tuple(pairing[i][j] // d[i] for j in range(n)) for i in range(n))
+    return pairing, cartan
+
+
 class WeylElement:
     """A Weyl group element as a permutation of the root indices.
 
-    ``perm[k]`` is the index in ``rs.roots`` of the image of ``rs.roots[k]``:
-    ``bytes`` for root systems with at most 256 roots, a tuple of ints
-    otherwise, so a product is one ``RootSystem`` call on two permutations
-    and the length counts the positive roots with negative images.  Equal
-    group elements have identical permutations, so instances hash and
-    compare by value.  The integer matrix in the simple-root basis is
-    derived on request as ``rows``.
+    ``perm[k]``, a ``bytes`` object, is the index in ``rs.roots`` of the
+    image of ``rs.roots[k]``, so a product is one ``RootSystem`` call on two
+    permutations and the length counts the positive roots with negative
+    images.  Equal group elements have identical permutations, so instances
+    hash and compare by value.  The integer matrix in the simple-root basis
+    is derived on request as ``rows``.
     """
 
     __slots__ = ("rs", "perm", "_length")
@@ -179,8 +214,7 @@ class WeylElement:
         return hash(self.perm)
 
     def __repr__(self):
-        word = " ".join(map(str, reduced_word(self))) or "e"
-        return f"<WeylElement {self.rs.cartan_type} '{word}'>"
+        return f"<WeylElement {self.rs.cartan_type} '{element_to_word_str(self)}'>"
 
     def __mul__(self, other: "WeylElement") -> "WeylElement":
         rs = self.rs
@@ -258,36 +292,7 @@ def _byte_arithmetic(npos: int, generators):
     def inverse(p):
         return bytes.maketrans(p, identity)[:n_roots]
 
-    return bytes, identity, right, mul, times_generator, conjugate, length, inverse
-
-
-def _tuple_arithmetic(npos: int, generators):
-    """Permutations of more than 256 roots as tuples of ints, composed with
-    ``operator.itemgetter``."""
-    n_roots = 2 * npos
-    negative = frozenset(range(npos))
-    identity = tuple(range(n_roots))
-    right = tuple(itemgetter(*g) for g in generators)
-
-    def mul(p, q):
-        return itemgetter(*q)(p)
-
-    def times_generator(p, i):
-        return right[i](p)
-
-    def conjugate(p, j, i):
-        return itemgetter(*right[i](p))(generators[j])
-
-    def length(p):
-        return len(negative.intersection(p[npos:]))
-
-    def inverse(p):
-        out = [0] * n_roots
-        for k, image in enumerate(p):
-            out[image] = k
-        return tuple(out)
-
-    return tuple, identity, generators, mul, times_generator, conjugate, length, inverse
+    return identity, right, mul, times_generator, conjugate, length, inverse
 
 
 class RootSystem:
@@ -300,30 +305,24 @@ class RootSystem:
     that tuple, ``simple_index`` holds the indices of the simple roots, and
     the negative roots are the first ``npos``.
 
-    The arithmetic of permutations is chosen once, here: ``bytes`` with
-    ``bytes.translate`` for at most 256 roots (E6-E8, F4, G2, A1-A15,
-    B/C2-B/C11, D4-D11), tuples with ``operator.itemgetter`` above.  Both
-    answer the same private calls on permutations: ``_mul(p, q)`` (p*q),
-    ``_right(p, i)`` (p*s_{i+1}), ``_conj(p, j, i)`` (s_{j+1}*p*s_{i+1}),
-    ``_length(p)``, ``_inverse(p)``, and ``_perm``, the type (``bytes`` or
-    ``tuple``) that makes a permutation from an iterable of root indices.
+    Permutations are ``bytes`` with ``bytes.translate``, so a system has at
+    most 256 roots (E6-E8, F4, G2, A1-A15, B/C2-B/C11, D4-D11); a larger
+    type is refused with a ``GuardError`` that names its root count.  The
+    private calls on permutations are ``_mul(p, q)`` (p*q), ``_right(p, i)``
+    (p*s_{i+1}), ``_conj(p, j, i)`` (s_{j+1}*p*s_{i+1}), ``_length(p)`` and
+    ``_inverse(p)``.
     """
 
     def __init__(self, cartan_type: CartanType):
+        n_roots = 2 * cartan_type.positive_root_count
+        if n_roots > _ROOT_LIMIT:
+            raise GuardError(
+                f"{cartan_type} has {n_roots} roots, more than the {_ROOT_LIMIT} "
+                "that Weyl elements, one byte per root, can permute"
+            )
         self.cartan_type = cartan_type
         n = self.rank = cartan_type.rank
-        edges, d = _diagram(cartan_type)
-        adj = {(i, j) for i, j in edges} | {(j, i) for i, j in edges}
-        self.pairing = tuple(
-            tuple(
-                2 * d[i] if i == j else (-max(d[i], d[j]) if (i, j) in adj else 0)
-                for j in range(n)
-            )
-            for i in range(n)
-        )
-        self.cartan = tuple(
-            tuple(self.pairing[i][j] // d[i] for j in range(n)) for i in range(n)
-        )
+        self.pairing, self.cartan = _forms(cartan_type)
         self.simple_roots = tuple(
             tuple(1 if j == i else 0 for j in range(n)) for i in range(n)
         )
@@ -336,9 +335,7 @@ class RootSystem:
         if 2 * npos != len(self.roots) or self.roots[npos:] != self.positive_roots:
             raise AssertionError("root generation produced an asymmetric set")
         self.simple_index = tuple(self.root_index[a] for a in self.simple_roots)
-        arithmetic = _byte_arithmetic if 2 * npos <= 256 else _tuple_arithmetic
         (
-            self._perm,
             identity,
             generators,
             self._mul,
@@ -346,7 +343,7 @@ class RootSystem:
             self._conj,
             self._length,
             self._inverse,
-        ) = arithmetic(npos, generators)
+        ) = _byte_arithmetic(npos, generators)
         self.identity = WeylElement(self, identity, 0)
         self.simple_reflections = tuple(WeylElement(self, g, 1) for g in generators)
         self._memo: dict = {}
@@ -455,6 +452,67 @@ def longest_element(rs: RootSystem, J=None) -> WeylElement:
     return WeylElement(rs, perm, length)
 
 
+def _image_walk(t: CartanType):
+    """Right multiplication by simple reflections on the images w(alpha_1),
+    ..., w(alpha_r) alone, the columns of w's matrix, so no root system is
+    built (Bjorner-Brenti, *Combinatorics of Coxeter Groups*, Section 4.4).
+
+    ``start()`` gives the identity: a list of images, coordinate tuples, and
+    flags ``negative[i]``, set when w(alpha_{i+1}) < 0, that is when s_{i+1}
+    is a right descent.  ``step(images, negative, i)`` turns w into w*s_{i+1}
+    in place, in O(rank): the image at i is negated, and each Dynkin
+    neighbour j becomes w(alpha_j) - C[i][j] w(alpha_i), C[i][j] < 0.
+    """
+    cartan = _forms(t)[1]
+    n = t.rank
+    links = [[(j, -c) for j, c in enumerate(row) if c < 0] for row in cartan]
+    simple = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
+    zero = (0,) * n
+
+    def start():
+        return list(simple), [False] * n
+
+    def step(images, negative, i):
+        a = images[i]
+        images[i] = tuple(map(neg, a))
+        negative[i] = not negative[i]
+        for j, c in links[i]:
+            b = images[j]
+            for _ in range(c):
+                b = tuple(map(add, b, a))
+            images[j] = b
+            negative[j] = b < zero  # a root's first nonzero coordinate is its sign
+
+    return start, step
+
+
+def _walk_longest(step, images, negative, idx) -> int:
+    """Grow w to w*w0J, for J the 0-based indices idx, by the rule of
+    ``longest_element``: any generator of J that is not yet a right descent.
+    Returns the number of steps, l(w0J) when w starts as the identity."""
+    length = 0
+    changed = True
+    while changed:
+        changed = False
+        for i in idx:
+            if not negative[i]:
+                step(images, negative, i)
+                length += 1
+                changed = True
+    return length
+
+
+def _walk_reduced_word(step, images, negative) -> tuple[int, ...]:
+    """A reduced word for w, found as ``reduced_word`` finds it, by stepping
+    down the first right descent; w is the identity afterwards."""
+    picks = []
+    while True in negative:
+        j = negative.index(True)
+        step(images, negative, j)
+        picks.append(j + 1)
+    return tuple(reversed(picks))
+
+
 def bruhat_leq(u: WeylElement, w: WeylElement) -> bool:
     """Bruhat order by the lifting-property recursion, memoized per root system.
 
@@ -531,7 +589,10 @@ def word_to_element(rs: RootSystem, word) -> WeylElement:
 
 def element_to_word_str(w: WeylElement) -> str:
     """Serialize as a space-separated reduced word; the identity is 'e'."""
-    word = reduced_word(w)
+    return _word_str(reduced_word(w))
+
+
+def _word_str(word) -> str:
     return " ".join(map(str, word)) if word else "e"
 
 

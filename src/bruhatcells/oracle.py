@@ -89,10 +89,11 @@ DEFAULT_PAIRS = ((2, 3), (2, 5), (2, 7), (3, 2), (3, 3), (3, 5), (4, 2))
 # pairs where the empirical tables match the predicted sets exactly
 COMPLETE_PAIRS = ((2, 5), (2, 7), (3, 5), (3, 7), (4, 3))
 
-# Limit on the T-classes an orbit walk is estimated to visit, 9-10 us each in
-# intersection_table (2 vCPUs, Python 3.11; 84,288 classes at (4, 3) and
-# 624,960 at (5, 2)): the largest estimates are 84,240 at (4, 3), 624,960 at
-# (5, 2) and 21,242 at (3, 11); (4, 5) has 5,667,187.
+# Limit on the T-classes an orbit walk is estimated to visit.  A T-class
+# costs intersection_table 9-10 us at p = 2 and at n <= 4 (84,288 classes at
+# (4, 3)), 17 us at (5, 2) (624,960) and 48-58 us at (5, 3) (2 vCPUs, Python
+# 3.11); the limit counts classes alone.  The largest estimates are 84,240 at
+# (4, 3), 624,960 at (5, 2) and 21,242 at (3, 11); (4, 5) has 5,667,187.
 ORBIT_LIMIT = 10**6
 _MAX_PRIME = 31
 # Limits on the matrices a walk eliminates, 6-15 us each (2 vCPUs, Python 3.11):

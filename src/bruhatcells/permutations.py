@@ -217,17 +217,26 @@ def bruhat_leq_perm(u: Permutation, w: Permutation) -> bool:
     return True
 
 
+def _root_pair(r) -> tuple[int, int]:
+    """The pair (a, b), 0-based, with r = e_a - e_b, for a root r of A_n.  In
+    the simple-root basis e_a - e_b (a < b) is alpha_{a+1} + ... + alpha_b,
+    ones at coordinates a..b-1, so b - a = |sum(r)|."""
+    a, s = next(j for j, x in enumerate(r) if x), sum(r)
+    return (a, a + s) if s > 0 else (a - s, a)
+
+
+def _from_simple_images(pairs) -> Permutation:
+    """w in S_{n+1} from the pairs of w(alpha_1), ..., w(alpha_n):
+    w(alpha_i) = e_w(i) - e_w(i+1)."""
+    return Permutation([a + 1 for a, _ in pairs] + [pairs[-1][1] + 1])
+
+
 def _type_a_roots(rs: RootSystem):
-    """Memoised for W(A_n): the pair (a, b), 0-based, with roots[k] =
-    e_a - e_b for each root index k, and the index of each pair.  In the
-    simple-root basis e_a - e_b (a < b) is alpha_{a+1} + ... + alpha_b,
-    ones at coordinates a..b-1."""
+    """Memoised for W(A_n): the pair of each root index k, and the index of
+    each pair."""
     table = rs._memo.get("type_a_roots")
     if table is None:
-        pairs = []
-        for r in rs.roots:  # r = +-(e_a - e_b), b - a = |sum(r)|
-            a, s = next(j for j, x in enumerate(r) if x), sum(r)
-            pairs.append((a, a + s) if s > 0 else (a - s, a))
+        pairs = list(map(_root_pair, rs.roots))
         table = rs._memo["type_a_roots"] = (pairs, {ab: k for k, ab in enumerate(pairs)})
     return table
 
@@ -239,7 +248,7 @@ def permutation_to_weyl(rs: RootSystem, w: Permutation) -> WeylElement:
         raise ValueError(f"{rs.cartan_type} does not match S_{w.degree}")
     pairs, index = _type_a_roots(rs)
     im = [i - 1 for i in w.images]
-    return WeylElement(rs, rs._perm(index[im[a], im[b]] for a, b in pairs))
+    return WeylElement(rs, bytes(index[im[a], im[b]] for a, b in pairs))
 
 
 def weyl_to_permutation(w: WeylElement) -> Permutation:
@@ -249,5 +258,4 @@ def weyl_to_permutation(w: WeylElement) -> Permutation:
     if rs.cartan_type.family != "A":
         raise ValueError(f"{rs.cartan_type} is not of type A")
     pairs = _type_a_roots(rs)[0]
-    images = [pairs[w.perm[k]] for k in rs.simple_index]
-    return Permutation([a + 1 for a, _ in images] + [images[-1][1] + 1])
+    return _from_simple_images([pairs[w.perm[k]] for k in rs.simple_index])

@@ -1,18 +1,23 @@
+import hashlib
 import json
 import os
 import pathlib
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 
-from bruhatcells.cli import _CATALOG_LIMIT_S, _catalog_cost_s, build_parser, main
+from bruhatcells import conjugacy, coxeter
+from bruhatcells.cli import build_parser, main
+from bruhatcells.conjugacy import _catalog_guard, catalog_subsets
 from bruhatcells.coxeter import (
     CartanType,
     build_root_system,
     bruhat_leq,
 )
+from bruhatcells.errors import GuardError
 from bruhatcells.permutations import bruhat_leq_perm, length_order, permutation_to_weyl
 from bruhatcells.sl_criteria import (
     JordanClass,
@@ -69,22 +74,72 @@ class TestCatalog:
     def test_bad_type_is_usage_error(self, capsys):
         assert main(["catalog", "--type", "H3"]) == 2
 
-    @pytest.mark.parametrize("t", ["A150", "A80", "B40", "D42"])
+    @pytest.mark.parametrize("t", ["A150"])
     def test_large_rank_is_refused_with_its_cost(self, capsys, t):
         assert main(["catalog", "--type", t]) == 2
         err = capsys.readouterr().err
-        assert re.search(r"about [\d,]+ s of CPU time .* above the 5 s limit", err)
+        assert re.search(
+            r"about [\d,.]+ s of CPU time, above the 5 s limit: 77 walks of up to "
+            r"N = 11,325 steps of rank 150, at [\d.]+ ns per step and rank",
+            err,
+        )
+
+    @pytest.mark.parametrize(
+        "t, walks",
+        [("A100000", "at least 3 walks of up to N = 5,000,050,000 steps of rank 100000"),
+         ("B5000", "at least 3 walks of up to N = 25,000,000 steps of rank 5000")],
+        ids=["A100000", "B5000"],
+    )
+    def test_huge_rank_is_refused_before_the_subsets(self, capsys, monkeypatch, t, walks):
+        # catalog_subsets holds rank^2 integers, so the guard runs first
+        def no_subsets(t):
+            raise AssertionError(f"built the catalog subsets of {t}")
+
+        monkeypatch.setattr(conjugacy, "catalog_subsets", no_subsets)
+        start = time.process_time()
+        assert main(["catalog", "--type", t]) == 2
+        assert time.process_time() - start < 1
+        err = capsys.readouterr().err
+        assert re.search(r"about [\d,.]+ s of CPU time, above the 5 s limit", err)
+        assert walks in err
 
     def test_rank_limits(self):
-        # the largest ranks admitted, estimated at 4.7, 4.8, 4.8 and 5.0 s; the
-        # next ones are estimated above 5 s, though A70, B38 and C38 measured
-        # 3.0-3.7, 3.4-4.9 and 3.3-4.7 s
-        def admitted(family, rank):
-            return _catalog_cost_s(CartanType(family, rank)) <= _CATALOG_LIMIT_S
+        # A69, B37, C37 and D41 were the largest ranks of the rank^5 fit that
+        # this guard replaced; the walk takes 0.4-0.6 s of CPU on each
+        for t in ("A69", "B37", "C37", "D41", "E8", "F4", "G2"):
+            t = CartanType.from_string(t)
+            _catalog_guard(t, len(catalog_subsets(t)))
+        with pytest.raises(GuardError, match="A150 would take about"):
+            t = CartanType.from_string("A150")
+            _catalog_guard(t, len(catalog_subsets(t)))
 
-        for family, largest in (("A", 69), ("B", 37), ("C", 37), ("D", 41)):
-            assert admitted(family, largest) and not admitted(family, largest + 1)
-        assert admitted("E", 8)
+    # SHA-256 of `catalog --type T --format json` as printed by the CLI that
+    # built the root system and walked Weyl elements on it
+    @pytest.mark.parametrize(
+        "t, digest",
+        [
+            ("A53", "9d6dd3c294c3bc8d9ab7b53ad7a7736ac7cdf144cf7115e1024a12100c08cbe5"),
+            ("A69", "26bd3eee9e88670ec49ae55acb0af6bfdc355127074846c2f09d43c92a69c1a3"),
+            ("B37", "4b320c7f42d7c8a4ffac6ce6d34dabf734a47f3a7eb073406fa951c559ac3736"),
+            ("C37", "aeb272b768ab6b1feedeab98e1d1dc60c0280487f7964d8703483c31c66e3293"),
+            ("D41", "a77b123ebab1d6e43f0523fc258c3f84b5251fe08b11cb275d3ecb0727f90cff"),
+        ],
+    )
+    def test_json_matches_the_root_system_catalog(self, capsys, t, digest):
+        assert main(["catalog", "--type", t, "--format", "json"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_builds_no_root_system(self, capsys, monkeypatch):
+        def no_build(*args):
+            raise AssertionError("built a root system")
+
+        monkeypatch.setattr(coxeter.RootSystem, "__init__", no_build)
+        monkeypatch.setattr(coxeter, "_build_cached", no_build)
+        for t in ("A3", "B12", "D5", "E8", "F4", "G2"):
+            assert main(["catalog", "--type", t]) == 0
+            assert main(["catalog", "--type", t, "--format", "json"]) == 0
+        assert capsys.readouterr().err == ""
 
 
 class TestVerify:
@@ -94,6 +149,13 @@ class TestVerify:
 
     def test_f4_all(self, capsys):
         assert main(["verify", "--type", "F4"]) == 0
+
+    def test_more_than_256_roots_is_refused(self, capsys):
+        # the order guard is lifted, so the root system is what refuses A16
+        args = ["verify", "--type", "A16", "--checks", "ascent", "--allow-large"]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert "check ascent refused: A16 has 272 roots, more than the 256" in err
 
     def test_e8_guard(self, capsys):
         # E8 is guarded only where W is walked: the ascent suite

@@ -5,8 +5,10 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from bruhatcells.conjugacy import (
+    _catalog_entries,
     _classes,
     _conjugator_cosets,
+    _fmt,
     _stable_subset_classes,
     _strong_component,
     _strongly_linked,
@@ -477,6 +479,24 @@ class TestCatalog:
         # types are cheap to cross-check against the stored catalog
         rs = build_root_system(name)
         assert catalog_subsets(name) == classifying_subsets(rs)
+
+    @pytest.mark.parametrize(
+        "name",
+        [f"A{n}" for n in range(1, 16)]
+        + [f"{f}{n}" for f in "BC" for n in range(2, 12)]
+        + [f"D{n}" for n in range(4, 12)]
+        + ["E6", "E7", "E8", "F4", "G2"],
+    )
+    def test_walk_on_simple_root_images_matches_weyl_elements(self, name):
+        # every type with at most 256 roots and rank <= 11: the catalog's
+        # image walk against w0 * w0J as a WeylElement on the root system
+        rs = build_root_system(name)
+        assert rs.cartan_type.positive_root_count == rs.npos
+        want = []
+        for J in sorted(catalog_subsets(name), key=lambda J: (len(J), sorted(J))):
+            m = subset_involution(rs, J)
+            want.append({"subset": sorted(J), "element": _fmt(m), "length": m.length})
+        assert _catalog_entries(name) == want
 
 
 class TestVerificationSuites:

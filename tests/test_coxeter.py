@@ -1,4 +1,6 @@
+import inspect
 import itertools
+import sys
 
 import pytest
 
@@ -300,12 +302,20 @@ class TestBruhatOrder:
                 if w != rs.w0:
                     assert not bruhat_leq(rs.w0, w)
 
-    def test_long_descent_chain_in_a46(self):
-        # the lifting recursion is 1081 steps deep here; a fresh root system
-        # keeps its large Bruhat memo out of the shared cache
-        rs = RootSystem(CartanType("A", 46))
-        assert bruhat_leq(rs.identity, rs.w0)
-        assert not bruhat_leq(rs.w0, rs.identity)
+    def test_long_descent_chain_needs_no_recursion(self):
+        # the lifting recursion is 121 steps deep in C11, as deep as it gets
+        # in a system of at most 256 roots; with the recursion limit 50
+        # frames above this one, only a loop gets through.  A fresh root
+        # system keeps its Bruhat memo out of the shared cache.
+        rs = RootSystem(CartanType("C", 11))
+        w0 = rs.w0
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 50)
+        try:
+            assert bruhat_leq(rs.identity, w0)
+            assert not bruhat_leq(w0, rs.identity)
+        finally:
+            sys.setrecursionlimit(limit)
 
     def test_mismatched_systems_rejected(self):
         with pytest.raises(ValueError):

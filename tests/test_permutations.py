@@ -122,12 +122,12 @@ def ref_weyl_to_permutation(w):
 
 class TestTypeABridge:
     """The bridge reads root images; the references walk reduced words.
-    From S_17 on, W(A_n) has more than 256 roots and tuple permutations."""
+    S_16 is the largest degree: W(A_15) has 240 roots, W(A_16) 272, more
+    than a byte permutation indexes."""
 
     @settings(max_examples=200)
-    @given(st.integers(2, 30).flatmap(perms))
-    @example(Permutation.longest(17))
-    @example(Permutation.longest(30))
+    @given(st.integers(2, 16).flatmap(perms))
+    @example(Permutation.longest(16))
     def test_matches_the_word_reference(self, w):
         rs = build_root_system(f"A{w.degree - 1}")
         x = permutation_to_weyl(rs, w)

@@ -14,19 +14,21 @@ from hypothesis import strategies as st
 
 from bruhatcells.conjugacy import enumerate_weyl_group
 from bruhatcells.coxeter import (
+    CartanType,
     WeylElement,
+    _forms,
+    _roots_and_reflections,
     bruhat_leq,
     build_root_system,
     reduced_word,
     simple_reflection,
     word_to_element,
 )
+from bruhatcells.errors import GuardError
 
 TYPES = (
     [f"A{n}" for n in range(1, 9)]
-    + ["A16"]  # 272 roots, more than fit in a byte
     + [f"B{n}" for n in range(2, 7)]
-    + ["B12"]  # 288 roots, the tuple arithmetic outside type A
     + [f"C{n}" for n in range(2, 7)]
     + ["D4", "D5", "D6", "E6", "E7", "E8", "F4", "G2"]
 )
@@ -148,15 +150,22 @@ class TestAgainstMatrices:
 
 @pytest.mark.parametrize(
     "name, n_roots, encoding",
-    [("A15", 240, bytes), ("E8", 240, bytes), ("A16", 272, tuple), ("B12", 288, tuple)],
+    [("A15", 240, bytes), ("E8", 240, bytes)],
 )
 def test_encoding_boundary(name, n_roots, encoding):
-    """Permutations are bytes up to 256 roots and tuples of ints above."""
+    """Permutations are bytes up to 256 roots, the largest systems built."""
     rs = build_root_system(name)
     assert len(rs.roots) == n_roots
     w = word_to_element(rs, range(1, rs.rank + 1))
     for e in (rs.identity, *rs.simple_reflections, w, w * w, w.inv()):
         assert type(e.perm) is encoding
+
+
+@pytest.mark.parametrize("name, n_roots", [("A16", 272), ("B12", 288)])
+def test_more_than_256_roots_are_refused(name, n_roots):
+    with pytest.raises(GuardError, match=f"^{name} has {n_roots} roots, more than the 256"):
+        build_root_system(name)
+    assert 2 * CartanType.from_string(name).positive_root_count == n_roots
 
 
 class TestRankOne:
@@ -200,28 +209,29 @@ def test_bruhat_order_is_the_subword_order(name):
             assert bruhat_leq(u, w) == (u.rows in below), (u, w)
 
 
-def ref_roots_and_generators(rs):
+def ref_roots_and_generators(cartan):
     """The two-pass construction: close the simple roots under full-length
     reflections, then reflect every root in every generator again."""
+    n = len(cartan)
 
     def reflect(i, v):
-        c = sum(a * b for a, b in zip(rs.cartan[i], v))
+        c = sum(a * b for a, b in zip(cartan[i], v))
         w = list(v)
         w[i] -= c
         return tuple(w)
 
-    todo = list(rs.simple_roots)
+    todo = list(ref_identity(n))
     seen = set(todo)
     while todo:
         v = todo.pop()
-        for i in range(rs.rank):
+        for i in range(n):
             w = reflect(i, v)
             if w not in seen:
                 seen.add(w)
                 todo.append(w)
     roots = tuple(sorted(seen))
     index = {r: k for k, r in enumerate(roots)}
-    return roots, [tuple(index[reflect(i, r)] for r in roots) for i in range(rs.rank)]
+    return roots, [tuple(index[reflect(i, r)] for r in roots) for i in range(n)]
 
 
 @pytest.mark.parametrize(
@@ -232,7 +242,15 @@ def ref_roots_and_generators(rs):
     + ["E6", "E7", "E8", "F4", "G2"],
 )
 def test_generators_match_the_two_pass_reference(name):
-    rs = build_root_system(name)
-    roots, generators = ref_roots_and_generators(rs)
-    assert rs.roots == roots
-    assert [tuple(s.perm) for s in rs.simple_reflections] == generators
+    # the closure needs no byte permutations, so it is checked past the 256
+    # roots of the largest root system built, from the shared Cartan integers
+    t = CartanType.from_string(name)
+    cartan = _forms(t)[1]
+    roots, generators = ref_roots_and_generators(cartan)
+    got, _, got_generators = _roots_and_reflections(cartan, ref_identity(t.rank))
+    assert got == roots
+    assert list(got_generators) == generators
+    if len(roots) <= 256:
+        rs = build_root_system(t)
+        assert rs.roots == roots and rs.cartan == cartan
+        assert [tuple(s.perm) for s in rs.simple_reflections] == generators
