@@ -14,6 +14,7 @@ from functools import lru_cache
 
 from .conjugacy import (
     _catalog_entries,
+    _fmt_subset,
     verify_ascent_classes,
     verify_coxeter_bound,
     verify_subset_conjugacy,
@@ -75,7 +76,7 @@ def cmd_catalog(args) -> int:
         print(f"classifying subsets and their involutions for {t} "
               f"({len(members)} entries):")
         for rec in members:
-            subset = "{" + " ".join(map(str, rec["subset"])) + "}"
+            subset = _fmt_subset(rec["subset"])
             print(f"  J={subset:<20} m={rec['element']:<24} length={rec['length']}")
     return 0
 

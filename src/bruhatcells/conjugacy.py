@@ -13,6 +13,7 @@ verification suites that check the classification and its corollaries.
 from __future__ import annotations
 
 import os
+from itertools import islice
 from operator import attrgetter
 
 from ._record import Record
@@ -391,64 +392,50 @@ def _strongly_linked(rs: RootSystem, t, centralizer, u, v) -> bool:
     return False
 
 
-def _shift_components(rs: RootSystem, stratum) -> list:
-    """The stratum split by equal-length cyclic shifts: lists of perms in
-    the order reached, the one holding stratum[0] first.
-
-    A shift u -> s*u*s, s simple, is admitted when s*u*s lies in the stratum
-    and s is a descent of u on one side, l(s*u) = l(u) - 1 or l(u*s) =
-    l(u) - 1; then x = s is a strong conjugation step from u to s*u*s.
-    """
-    conj, right, mul, length = rs._conj, rs._right, rs._mul, rs._length
-    below = length(stratum[0]) - 1
-    unseen = set(stratum)
-    components = []
-    for start in stratum:
-        if start not in unseen:
-            continue
-        unseen.discard(start)
-        component = [start]
-        for u in component:
-            for i, s in enumerate(rs.simple_reflections):
-                v = conj(u, i, i)
-                if v in unseen and (
-                    length(right(u, i)) == below or length(mul(s.perm, u)) == below
-                ):
-                    unseen.discard(v)
-                    component.append(v)
-        components.append(component)
-    return components
-
-
 def _strong_component(rs: RootSystem, stratum) -> set:
     """The perms that strong-conjugation chains link to u0 = stratum[0],
     within stratum, the perms of u0's class with u0's length.
 
-    Equal-length cyclic shifts are strong steps (Geck-Pfeiffer, Characters
-    of Finite Coxeter Groups and Iwahori-Hecke Algebras, 2000, §3.2), and
-    on a maximal stratum they alone link most classes.  Only when they
-    leave more than one component is the centralizer C_W(u0) built; the
-    components are then joined by strong steps from reached perms, stopping
-    at the first step into each.  The relation is symmetric (when x is a
-    strong step from u to v, x^-1 is one from v to u), so a component that
-    no reached perm steps into is not linked.
+    A cyclic shift v = s*u*s, s simple, that stays in the stratum is a
+    strong step (Geck-Pfeiffer, Characters of Finite Coxeter Groups and
+    Iwahori-Hecke Algebras, 2000, §3.2), since s is then a descent of u on
+    one side.  Were l(s*u) = l(u*s) = l(u) + 1 with v != u, then l(v) <
+    l(s*u), and the exchange condition would give v = (s*u)*s from s times a
+    reduced word of u by deleting one letter; deleting a letter of u's word
+    would make u*s shorter than u, so the first s goes and v = u.
+
+    The walk takes the shifts from every reached perm, and on a maximal
+    stratum they alone link most classes.  Only when perms stay unseen is
+    the centralizer C_W(u0) built; reached perms, in order, are then tested
+    against each unseen v, and a link takes the shifts from v before the
+    next test, so at most one link is found into each shift component.  The
+    relation is symmetric (when x is a strong step from u to v, x^-1 is one
+    from v to u), so a perm that no reached perm steps to is not linked.
     """
-    first, *rest = _shift_components(rs, stratum)
-    reached = set(first)
-    if rest:
+    conj, ranks = rs._conj, range(rs.rank)
+    reached = [stratum[0]]
+    unseen = set(stratum[1:])
+
+    def shifts(start):
+        for u in islice(reached, start, None):
+            for i in ranks:
+                v = conj(u, i, i)
+                if v in unseen:
+                    unseen.discard(v)
+                    reached.append(v)
+
+    shifts(0)
+    if unseen:
         t, centralizer = _conjugator_cosets(rs, stratum[0])
-        todo = list(first)
-        while todo and rest:
-            u = todo.pop()
-            unlinked = []
-            for component in rest:
-                if any(_strongly_linked(rs, t, centralizer, u, v) for v in component):
-                    reached.update(component)
-                    todo += component
-                else:
-                    unlinked.append(component)
-            rest = unlinked
-    return reached
+        for u in reached:
+            if not unseen:
+                break
+            for v in stratum:
+                if v in unseen and _strongly_linked(rs, t, centralizer, u, v):
+                    unseen.discard(v)
+                    reached.append(v)
+                    shifts(len(reached) - 1)
+    return set(reached)
 
 
 def property_one(rs: RootSystem, J) -> bool:
@@ -722,12 +709,11 @@ def verify_subset_conjugacy(t) -> Report:
     rs = _suite_system(t)
     rep = Report(f"subset conjugacy {rs.cartan_type}")
     subsets = sorted(subsets_with_property_one(rs), key=sorted)
-    class_of = {
-        w.perm: k
-        for k, c in enumerate(involution_classes(rs))
-        for w in c.elements
-    }
-    class_of_subset = {J: class_of[subset_involution(rs, J).perm] for J in subsets}
+    classes = [c.elements for c in involution_classes(rs)]
+    class_of_subset = {}
+    for J in subsets:
+        m = subset_involution(rs, J)
+        class_of_subset[J] = next(k for k, c in enumerate(classes) if m in c)
     label = _stable_subset_classes(rs)
     subject = str(rs.cartan_type)
     for J in subsets:
@@ -795,10 +781,10 @@ def verify_ascent_classes(t, allow_large: bool = False) -> Report:
     chain to a maximal-length element, and all maximal-length elements are
     pairwise linked by strong-conjugation chains.
 
-    Equal-length cyclic shifts u -> s*u*s are strong steps (Geck-Pfeiffer
-    2000, §3.2), so a maximal stratum is first linked by shifts alone; a
-    centralizer is built only for a class whose stratum they leave in
-    several components (3 of the 25 classes of W(E6)).
+    The maxima are linked in one walk (``_strong_component``): cyclic
+    shifts u -> s*u*s that keep the length are strong steps (Geck-Pfeiffer
+    2000, §3.2), and a centralizer is built only for a class whose maximal
+    stratum they leave in several pieces (3 of the 25 classes of W(E6)).
 
     The classes come from the whole group, so it refuses Weyl groups with
     more than STRONG_CONJ_LIMIT elements unless allow_large is set.

@@ -14,6 +14,12 @@ The module provides the length function, longest elements of parabolic
 subgroups, the Bruhat order, the automorphism w |-> w0*w*w0, reduced words
 and Coxeter elements, and a walk on the simple-root images w(alpha_i)
 alone, which needs no root system and so serves any rank.
+``longest_element`` and ``reduced_word`` keep their own loops on the
+permutations, with the walk's rule but not its code: a step there is one
+``bytes.translate``, and on the images O(rank) tuple arithmetic.  One
+``reduced_word`` step took 0.6-0.8 us on permutations and 1.7-2.5 us on
+images, best of 5 over 300 random elements each of B4, D6 and E6-E8
+(2 vCPUs, Python 3.11).
 
 Conventions: simple roots are numbered 1..n following the usual Bourbaki
 diagrams (for D_n the two fork ends are alpha_{n-1}, alpha_n; for E_n the

@@ -575,18 +575,16 @@ def intersection_table(
         opposite.add(opposite_cell)
     cell_perms = frozenset(Permutation(s) for s in cells)
     opp_perms = frozenset(Permutation(s) * w0 for s in opposite)
-    maxima = [
-        w
-        for w in cell_perms
-        if not any(v != w and bruhat_leq_perm(w, v) for v in cell_perms)
-    ]
+    # in a finite poset a unique maximal cell lies above every cell, so it
+    # is the unique longest one, and one Bruhat test per cell decides it
+    top = max(cell_perms, key=length_order)
     return IntersectionTable(
         c,
         p,
         size,
         cell_perms,
         opp_perms,
-        maxima[0] if len(maxima) == 1 else None,
+        top if all(bruhat_leq_perm(w, top) for w in cell_perms) else None,
     )
 
 

@@ -34,7 +34,7 @@ from bruhatcells.oracle import (
     validate_class,
 )
 from bruhatcells.partitions import Partition, cycle_type, dominance_leq, partitions_of
-from bruhatcells.permutations import involutions
+from bruhatcells.permutations import bruhat_leq_perm, involutions
 from bruhatcells.sl_criteria import abstract_jordan_classes, involution_cell_meets, weyl_class_inside
 
 CLASSIFICATION_TYPES = [
@@ -203,6 +203,20 @@ def test_criterion_7_oracle_complete(oracle_tables):
             not failures,
             str(failures[:3]),
         )
+
+
+def test_bruhat_max_equals_the_pairwise_maxima(oracle_tables):
+    """The one-pass unique maximum of each table equals the maximal cells
+    found by comparing every pair, when exactly one cell is maximal."""
+    for n, q in DEFAULT_PAIRS:
+        for c, table in oracle_tables[(n, q)]:
+            cells = table.cells
+            maxima = [
+                w for w in cells
+                if not any(v != w and bruhat_leq_perm(w, v) for v in cells)
+            ]
+            want = maxima[0] if len(maxima) == 1 else None
+            assert table.bruhat_max == want, (n, q, c.describe())
 
 
 def test_criterion_8_bruhat_engine_cross_validation():

@@ -1,12 +1,13 @@
 """Strong conjugation over cyclic shifts and conjugator cosets against a
 whole-group scan.
 
-The library first links a stratum by equal-length cyclic shifts
-(``conjugacy._shift_components``), and only where they leave several
-components finds the conjugators taking u to v as the coset t_v C t_u^-1 of
-the centralizer C = C_W(u0) (``conjugacy._conjugator_cosets``).  The
-reference below is the direct definition: every element x of W is tried as
-a conjugator.  It is exhaustive and only feasible for small groups.
+The library links a stratum in one walk (``conjugacy._strong_component``):
+it takes equal-length cyclic shifts, each a strong step, and only where
+perms stay unseen finds the conjugators taking u to v as the coset
+t_v C t_u^-1 of the centralizer C = C_W(u0)
+(``conjugacy._conjugator_cosets``).  The reference below is the direct
+definition: every element x of W is tried as a conjugator.  It is
+exhaustive and only feasible for small groups.
 """
 
 import pytest
@@ -14,7 +15,6 @@ import pytest
 from bruhatcells import conjugacy
 from bruhatcells.conjugacy import (
     _conjugator_cosets,
-    _shift_components,
     _strong_component,
     _strongly_linked,
     conjugacy_classes,
@@ -26,7 +26,8 @@ from bruhatcells.coxeter import build_root_system
 EDGE_TYPES = ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4",
               "C2", "C3", "C4", "D4", "G2", "F4"]
 # (same-length pairs within a class, pairs among them strongly conjugate)
-CONJUGATE_PAIRS = {"A3": (70, 54), "B3": (116, 110), "G2": (16, 16)}
+CONJUGATE_PAIRS = {"A3": (70, 54), "B3": (116, 110), "C3": (116, 110),
+                   "D4": (1282, 838), "G2": (16, 16)}
 
 
 def _strong_conj_neighbors(u, group, inverses):
@@ -115,7 +116,9 @@ def test_strongly_conjugate_matches_whole_group_search(name):
                 assert (w2.perm in component) == want, (name, w, w2)
                 checked += 1
                 linked += want
-    # in A3 and B3 both answers occur, so the comparison is not vacuous
+    # in A3, B3, C3 and D4 both answers occur, so the comparison is not
+    # vacuous; shifts leave 21 strata of D4 in two to four components, so
+    # there the reference also checks the centralizer join
     assert (checked, linked) == CONJUGATE_PAIRS[name]
 
 
@@ -160,27 +163,33 @@ def test_centralizers_only_where_shifts_leave_several_components(monkeypatch):
 
 
 @pytest.mark.parametrize("name", EDGE_TYPES)
-def test_shift_components_are_the_components_of_strong_shift_edges(name):
+def test_equal_length_shifts_are_strong_steps(name):
     rs = build_root_system(name)
-    for c in conjugacy_classes(rs):
-        members = sorted(c.elements, key=lambda w: (w.length, w.rows))
-        for length in {w.length for w in members}:
-            stratum = [w.perm for w in members if w.length == length]
-            components = _shift_components(rs, stratum)
-            assert components[0][0] == stratum[0]
-            assert sorted(p for comp in components for p in comp) == sorted(stratum)
-            for comp in components:
-                # each member is reached by a strong shift from an earlier one
-                for k in range(1, len(comp)):
-                    assert any(_shift_edge(rs, u, comp[k]) for u in comp[:k])
-            # and no strong shift leaves a component
-            for a, comp in enumerate(components):
-                for other in components[a + 1:]:
-                    assert not any(
-                        _shift_edge(rs, u, v) or _shift_edge(rs, v, u)
-                        for u in comp
-                        for v in other
-                    )
+    length = rs._length
+    shifts = 0
+    for u in enumerate_weyl_group(rs):
+        for i in range(rs.rank):
+            v = rs._conj(u.perm, i, i)
+            if v != u.perm and length(v) == u.length:
+                assert _shift_edge(rs, u.perm, v), (name, u, i)
+                shifts += 1
+    assert shifts or name == "A1"
+
+
+def _shift_split(rs, stratum):
+    """The stratum split into the components of its strong shift steps."""
+    unseen = set(stratum)
+    components = []
+    for start in stratum:
+        if start in unseen:
+            unseen.discard(start)
+            component = [start]
+            for u in component:
+                for v in [v for v in unseen if _shift_edge(rs, u, v)]:
+                    unseen.discard(v)
+                    component.append(v)
+            components.append(component)
+    return components
 
 
 def test_cosets_join_the_shift_components_of_a_d4_stratum(monkeypatch):
@@ -189,7 +198,7 @@ def test_cosets_join_the_shift_components_of_a_d4_stratum(monkeypatch):
     (c,) = [
         c for c in conjugacy_classes(rs)
         if [len(comp) for comp in
-            _shift_components(rs, [w.perm for w in c.max_length])] == [2, 2, 2]
+            _shift_split(rs, [w.perm for w in c.max_length])] == [2, 2, 2]
     ]
     calls = _count_cosets(monkeypatch)
     tops = sorted(c.max_length, key=lambda w: w.rows)
