@@ -24,7 +24,7 @@ from .conjugacy import (
 from .coxeter import _RANK_LIMIT, CartanType
 from .errors import GuardError
 from .partitions import cycle_type
-from .permutations import Permutation, length_order
+from .permutations import Permutation, _unchecked, length_order
 from .sl_criteria import (
     JordanClass,
     bruhat_lower_set,
@@ -226,7 +226,7 @@ def _covers(u: Permutation) -> set[Permutation]:
             if x < im[j] < bound:
                 bound = im[j]
                 v = im[:i] + (bound,) + im[i + 1 : j] + (x,) + im[j + 1 :]
-                out.add(Permutation(v))
+                out.add(_unchecked(v))
     return out
 
 

@@ -575,17 +575,23 @@ def intersection_table(
         opposite.add(opposite_cell)
     cell_perms = frozenset(Permutation(s) for s in cells)
     opp_perms = frozenset(Permutation(s) * w0 for s in opposite)
-    # in a finite poset a unique maximal cell lies above every cell, so it
-    # is the unique longest one, and one Bruhat test per cell decides it
-    top = max(cell_perms, key=length_order)
     return IntersectionTable(
         c,
         p,
         size,
         cell_perms,
         opp_perms,
-        top if all(bruhat_leq_perm(w, top) for w in cell_perms) else None,
+        _bruhat_max(cell_perms),
     )
+
+
+def _bruhat_max(cells) -> Permutation | None:
+    """The unique Bruhat-maximal permutation of a nonempty set, or None if
+    it has several maximal ones.  In a finite poset a unique maximal element
+    lies above every element, so it is the unique longest one, and one
+    Bruhat test per element decides it."""
+    top = max(cells, key=length_order)
+    return top if all(bruhat_leq_perm(w, top) for w in cells) else None
 
 
 def cell_size_census(n: int, p: int, allow_large: bool = False) -> dict:

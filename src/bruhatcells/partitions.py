@@ -35,7 +35,7 @@ class Partition(Record):
             raise ValueError(f"parts must be positive: {parts}")
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
             raise ValueError(f"parts must be non-increasing: {parts}")
-        _set_parts(self, parts)  # the slot directly: each weyl_class_inside builds one
+        _set_parts(self, parts)  # the slot directly: the oracle types all of S_n
 
     @property
     def weight(self) -> int:

@@ -162,6 +162,14 @@ class Permutation(Record):
 _set_images = Permutation.images.__set__
 
 
+def _unchecked(images: tuple[int, ...]) -> Permutation:
+    """The Permutation with these images, for a tuple that permutes 1..n by
+    construction: the slot is set without the check ``__init__`` makes."""
+    w = object.__new__(Permutation)
+    _set_images(w, images)
+    return w
+
+
 def length_order(w: Permutation):
     """Sort key of permutations by Coxeter length, then one-line form."""
     return w.inversions(), w.images

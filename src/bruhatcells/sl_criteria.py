@@ -17,8 +17,8 @@ from math import factorial
 
 from ._record import Record
 from .errors import GuardError
-from .partitions import Partition, dominance_leq, partitions_of
-from .permutations import Permutation, exceedances, involutions
+from .partitions import Partition, partitions_of
+from .permutations import Permutation, _unchecked, exceedances, involutions
 
 __all__ = [
     "JordanClass",
@@ -187,7 +187,7 @@ def eigenspace_corank(c: JordanClass) -> int:
     The block count of a label is the dimension of that eigenspace, so this
     equals the minimum over scalars z of rank(g - z*I).
     """
-    return c.n_plus_1 - max(len(e.blocks) for e in c.eigen_data)
+    return c.n_plus_1 - _max_block_count(c)
 
 
 def two_cycle_cap(c: JordanClass) -> int:
@@ -199,16 +199,25 @@ def two_cycle_cap(c: JordanClass) -> int:
 def block_sum_partition(c: JordanClass) -> Partition:
     """Partition whose t-th part sums the t-th largest block of every label.
 
-    Labels are ranked by block count (stable for ties); the result has
-    exactly n+1 - corank parts and weight n+1.
+    The result has exactly n+1 - corank parts and weight n+1.
     """
-    ranked = sorted(c.eigen_data, key=lambda e: -len(e.blocks))
-    depth = len(ranked[0].blocks)
-    parts = tuple(
-        sum(e.blocks[t] if t < len(e.blocks) else 0 for e in ranked)
-        for t in range(depth)
-    )
-    return Partition(parts)
+    return Partition(_block_sums(c))
+
+
+def _max_block_count(c: JordanClass) -> int:
+    """The largest number of blocks of one label: the largest eigenspace
+    dimension."""
+    return max([len(e.blocks) for e in c.eigen_data])
+
+
+def _block_sums(c: JordanClass) -> list[int]:
+    """The parts of block_sum_partition(c).  They are positive and
+    non-increasing, since each label's blocks are."""
+    sums = [0] * _max_block_count(c)
+    for e in c.eigen_data:
+        for t, b in enumerate(e.blocks):
+            sums[t] += b
+    return sums
 
 
 def nested_involution(n_plus_1: int, l: int) -> Permutation:
@@ -231,9 +240,14 @@ def involution_cell_meets(c: JordanClass, w: Permutation) -> bool:
     """Whether the class meets the cell BwB of an involution w: exactly when
     the 2-cycle count of w is at most the cap."""
     _check_degree(c, w)
-    if not w.is_involution:
-        raise ValueError(f"{w.cycle_string()} is not an involution")
-    return exceedances(w) <= two_cycle_cap(c)
+    im = w.images
+    count = 0  # the exceedances, which an involution has one per 2-cycle
+    for i, j in enumerate(im, 1):
+        if im[j - 1] != i:
+            raise ValueError(f"{w.cycle_string()} is not an involution")
+        if j > i:
+            count += 1
+    return count <= two_cycle_cap(c)
 
 
 def passes_corank_bound(c: JordanClass, w: Permutation) -> bool:
@@ -251,7 +265,17 @@ def weyl_class_inside(c: JordanClass, lam: Partition) -> bool:
     set of cells meeting C: dominance below the block-sum partition."""
     if lam.weight != c.n_plus_1:
         raise ValueError(f"cycle type has weight {lam.weight}, expected {c.n_plus_1}")
-    return dominance_leq(lam, block_sum_partition(c))
+    # dominance_leq(lam, block_sum_partition(c)) with no Partition built.
+    # zip stops at the shorter sequence, which suffices as both weigh n+1: past
+    # the block sums their partial sum is n+1, and where lam ends first its
+    # partial sum n+1 already exceeds theirs.
+    a = b = 0
+    for x, y in zip(lam.parts, _block_sums(c)):
+        a += x
+        b += y
+        if a > b:
+            return False
+    return True
 
 
 def bruhat_lower_set(c: JordanClass) -> frozenset[Permutation]:
@@ -293,7 +317,7 @@ def _lower_set(n_plus_1: int, l: int) -> frozenset[Permutation]:
                 break
             seen |= 1 << x
         else:
-            members.append(Permutation(im))
+            members.append(_unchecked(im))
     return frozenset(members)
 
 

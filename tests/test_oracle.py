@@ -557,6 +557,29 @@ class TestIntersectionTables:
         assert invs == {"e", "(1 2)", "(2 3)", "(1 3)"}
         assert t.bruhat_max.cycle_string() == "(1 3)"
 
+    @pytest.mark.parametrize(
+        "degree, cells",
+        [
+            (3, ("e", "(1 2)", "(2 3)")),  # two maxima of one length
+            (4, ("e", "(1 2)", "(2 3 4)")),  # the longest is not above (1 2)
+        ],
+    )
+    def test_bruhat_max_is_none_without_a_unique_maximum(self, degree, cells):
+        perms = {Permutation.parse(w, degree) for w in cells}
+        assert oracle._bruhat_max(perms) is None
+
+    @pytest.mark.parametrize(
+        "degree, cells, top",
+        [
+            (3, ("e", "(1 2)", "(2 3)", "(1 3)"), "(1 3)"),
+            (4, ("e", "(2 3)", "(2 3 4)"), "(2 3 4)"),
+            (4, ("(1 2)(3 4)",), "(1 2)(3 4)"),
+        ],
+    )
+    def test_bruhat_max_of_a_unique_maximum(self, degree, cells, top):
+        perms = {Permutation.parse(w, degree) for w in cells}
+        assert oracle._bruhat_max(perms) == Permutation.parse(top, degree)
+
     def test_table_stable_under_base_change(self):
         base = JordanClass(2, [("d", (1,)), ("e", (1,))], {"d": 2, "e": 3})
         t1 = intersection_table(base, 5)

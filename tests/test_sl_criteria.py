@@ -1,12 +1,15 @@
 import json
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
-from bruhatcells.partitions import Partition, cycle_type
+from bruhatcells.partitions import Partition, cycle_type, dominance_leq, partitions_of
 from bruhatcells.permutations import (
     Permutation,
     all_permutations,
     bruhat_leq_perm,
+    exceedances,
     involutions,
 )
 from bruhatcells.sl_criteria import (
@@ -320,6 +323,87 @@ class TestPrefixCrossings:
             for m in caps:
                 got = bruhat_leq_perm(nested_involution(n, l), nested_involution(n, m))
                 assert got == (l <= m), (n, l, m)
+
+
+@st.composite
+def jordan_classes(draw, max_degree=9):
+    """A Jordan class of degree at most max_degree: labels c1, c2, ... each
+    with a partition of a drawn share of the degree."""
+    n = left = draw(st.integers(1, max_degree))
+    data = []
+    while left:
+        weight = draw(st.integers(1, left))
+        blocks = draw(st.sampled_from(list(partitions_of(weight))))
+        data.append((f"c{len(data) + 1}", blocks.parts))
+        left -= weight
+    return JordanClass(n, data)
+
+
+@st.composite
+def involutions_of(draw, n):
+    """An involution of degree n pairing the first 2k points of a shuffle."""
+    points = draw(st.permutations(range(1, n + 1)))
+    k = draw(st.integers(0, n // 2))
+    im = list(range(1, n + 1))
+    for a, b in zip(points[: 2 * k : 2], points[1 : 2 * k : 2]):
+        im[a - 1], im[b - 1] = b, a
+    return Permutation(im)
+
+
+class TestKernelsAgainstDefinitions:
+    """The per-call criteria, one pass over their input, against the rules
+    they implement, with the error texts of the checks they make."""
+
+    @given(st.data())
+    def test_involution_cell_meets_is_the_cap_rule(self, data):
+        c = data.draw(jordan_classes())
+        w = data.draw(involutions_of(c.n_plus_1))
+        assert involution_cell_meets(c, w) == (exceedances(w) <= two_cycle_cap(c))
+
+    @given(st.data())
+    def test_weyl_class_inside_is_dominance(self, data):
+        c = data.draw(jordan_classes())
+        lam = data.draw(st.sampled_from(list(partitions_of(c.n_plus_1))))
+        assert weyl_class_inside(c, lam) == dominance_leq(lam, block_sum_partition(c))
+
+    @given(st.data())
+    def test_degree_is_checked_before_the_involution(self, data):
+        c = data.draw(jordan_classes())
+        m = data.draw(st.integers(1, 10).filter(lambda m: m != c.n_plus_1))
+        w = Permutation(data.draw(st.permutations(range(1, m + 1))))
+        message = f"permutation degree {m} does not match SL({c.n_plus_1})"
+        with pytest.raises(ValueError) as err:
+            involution_cell_meets(c, w)
+        assert str(err.value) == message
+
+    @given(st.data())
+    def test_non_involution_text(self, data):
+        c = data.draw(jordan_classes())
+        w = Permutation(data.draw(st.permutations(range(1, c.n_plus_1 + 1))))
+        assume(not w.is_involution)
+        with pytest.raises(ValueError) as err:
+            involution_cell_meets(c, w)
+        assert str(err.value) == f"{w.cycle_string()} is not an involution"
+
+    @given(st.data())
+    def test_wrong_weight_text(self, data):
+        c = data.draw(jordan_classes())
+        weight = data.draw(st.integers(1, 10).filter(lambda k: k != c.n_plus_1))
+        lam = data.draw(st.sampled_from(list(partitions_of(weight))))
+        with pytest.raises(ValueError) as err:
+            weyl_class_inside(c, lam)
+        assert str(err.value) == (
+            f"cycle type has weight {weight}, expected {c.n_plus_1}"
+        )
+
+    @given(st.data())
+    def test_lower_set_members_are_permutations(self, data):
+        c = data.draw(jordan_classes(sl_criteria._LOWER_SET_DEGREE_LIMIT))
+        members = sorted(bruhat_lower_set(c), key=lambda w: w.images)
+        w = data.draw(st.sampled_from(members))
+        assert type(w.images) is tuple
+        assert w == Permutation(w.images)
+        assert hash(w) == hash(Permutation(w.images))
 
 
 class TestSpherical:
