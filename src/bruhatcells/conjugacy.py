@@ -4,10 +4,11 @@ The central objects are the elements that are the unique maximal-length
 member of their conjugacy class.  They are classified by subsets J of the
 simple roots satisfying two conditions ("Property (1)" and "Property (2)"
 below); the subset J corresponds to the involution w0 * w0J.  This module
-materializes classes by orbit search, computes those sets, carries the
-per-family catalog of classifying subsets and walks its involutions on
-simple-root images, with no root system, and bundles the exhaustive
-verification suites that check the classification and its corollaries.
+grows classes one orbit at a time and keeps each as its size and extremal
+strata, computes those sets, carries the per-family catalog of classifying
+subsets and walks its involutions on simple-root images, with no root
+system, and bundles the exhaustive verification suites that check the
+classification and its corollaries.
 """
 
 from __future__ import annotations
@@ -65,22 +66,18 @@ __all__ = [
 ]
 
 STRONG_CONJ_LIMIT = 10**4
-# Peak bytes that enumerate_weyl_group holds per element: a fixed part (the
-# element object, the seen-set slot, list slots) plus the bytes of perm, one
-# per root.  tracemalloc peaks per element, taken when each frontier was
-# also sorted by rows keys: 264.2 over all of W(D6) (60 roots), 221.5 over
-# all of W(E6) (72) and 424.9 over the first 235,088 elements of W(E7)
-# (126).  The line below passes through the D6 and E7 points and lies above
-# the E6 one.  Without the sort the peaks are lower (256.6 for D6, 218.1 for
-# E6; 256.8 and 218.3 stepping on permutations and wrapping each length
-# level once), so the line is an upper bound.
+# Peak bytes that enumerate_weyl_group holds per element: a fixed part plus
+# one byte of perm per root.  tracemalloc peaks per element, with each
+# frontier also sorted by rows: 264.2 over W(D6) (60 roots), 221.5 over W(E6)
+# (72), 424.9 over the first 235,088 elements of W(E7) (126).  The line
+# passes through D6 and E7 and above E6; without the sort the peaks are
+# lower (256.6 for D6, 218.1 for E6), so it is an upper bound.
 ENUMERATION_BYTES_PER_ELEMENT = 118
 ENUMERATION_BYTES_PER_ROOT = 2.44
-# CPU seconds per walk step and coordinate of a catalog, one constant for
-# every family: above the largest ratio of CPU time to (entries + 1) * N *
-# rank measured on the classical types of rank 20-60, three runs each
-# (2 vCPUs, Python 3.11): 131-274 ns in B, C and D.  Type A prints cycles,
-# which need no walk, at 40-83 ns, so its estimate is about 5 times high.
+# CPU seconds per walk step and coordinate of a catalog: above the largest
+# ratio of CPU time to (entries + 1) * N * rank on B, C and D of rank 20-60,
+# 131-274 ns (three runs each, 2 vCPUs, Python 3.11).  Type A prints cycles
+# with no walk, at 40-83 ns, so its estimate is about 5 times high.
 _CATALOG_STEP_S = 3.0e-7
 _CATALOG_LIMIT_S = 5.0
 
@@ -145,21 +142,21 @@ def enumerate_weyl_group(rs: RootSystem, allow_large: bool = False):
 
 
 class ConjugacyClass(Record):
-    """A conjugacy class, materialized; extremal-length sublists are sorted.
-
-    With a diagram automorphism delta it is the delta-twisted class, the
-    orbit under u |-> delta(s) * u * s over the simple reflections s.
+    """A conjugacy class as its size and its extremal strata, each sorted by
+    ``rows``; its members are not kept.  With a diagram automorphism delta
+    it is the delta-twisted class, the orbit under u |-> delta(s) * u * s
+    over the simple reflections s.
     """
 
-    __slots__ = ("representative", "elements", "max_length", "min_length", "delta")
+    __slots__ = ("representative", "size", "max_length", "min_length", "delta")
     representative: WeylElement
-    elements: frozenset[WeylElement]
+    size: int
     max_length: tuple[WeylElement, ...]
     min_length: tuple[WeylElement, ...]
     delta: tuple[int, ...] | None
 
-    def __init__(self, representative, elements, max_length, min_length, delta=None):
-        super().__init__(representative, elements, max_length, min_length, delta)
+    def __init__(self, representative, size, max_length, min_length, delta=None):
+        super().__init__(representative, size, max_length, min_length, delta)
 
     @property
     def is_unique_max(self) -> bool:
@@ -170,10 +167,11 @@ class ConjugacyClass(Record):
         return len(self.min_length) == 1
 
     def __len__(self):
-        return len(self.elements)
+        return self.size
 
 
 _rows = attrgetter("rows")
+_length_rows = attrgetter("length", "rows")
 
 
 def _orbit(rs: RootSystem, seed: WeylElement, delta=None) -> set:
@@ -196,18 +194,15 @@ def _orbit(rs: RootSystem, seed: WeylElement, delta=None) -> set:
 
 
 def _materialize(rs: RootSystem, perms):
-    """The elements of an orbit and its minimal and maximal strata.
+    """An orbit's size and its maximal and minimal strata, sorted by
+    ``rows``; only the strata become ``WeylElement``s."""
+    lengths = list(map(rs._length, perms))
 
-    Lengths come first, so the sort key ``rows`` is built only for the two
-    extremal strata; each stratum is sorted by (length, rows) as before.
-    """
-    length = rs._length
-    elements = [WeylElement(rs, p, length(p)) for p in perms]
-    lo = min(w._length for w in elements)
-    hi = max(w._length for w in elements)
-    mins = tuple(sorted((w for w in elements if w._length == lo), key=_rows))
-    maxs = tuple(sorted((w for w in elements if w._length == hi), key=_rows))
-    return frozenset(elements), maxs, mins
+    def stratum(ell):
+        members = (WeylElement(rs, p, ell) for p, n in zip(perms, lengths) if n == ell)
+        return tuple(sorted(members, key=_rows))
+
+    return len(lengths), stratum(max(lengths)), stratum(min(lengths))
 
 
 def conjugacy_class(w: WeylElement, allow_large: bool = False) -> ConjugacyClass:
@@ -221,11 +216,8 @@ def is_diagram_automorphism(rs: RootSystem, delta) -> bool:
     delta = tuple(delta)
     if sorted(delta) != list(range(1, rs.rank + 1)):
         return False
-    c = rs.cartan
-    n = rs.rank
-    return all(
-        c[delta[i] - 1][delta[j] - 1] == c[i][j] for i in range(n) for j in range(n)
-    )
+    c, n = rs.cartan, range(rs.rank)
+    return all(c[delta[i] - 1][delta[j] - 1] == c[i][j] for i in n for j in n)
 
 
 def twisted_class(w: WeylElement, delta, allow_large: bool = False) -> ConjugacyClass:
@@ -239,19 +231,20 @@ def twisted_class(w: WeylElement, delta, allow_large: bool = False) -> Conjugacy
 
 
 def _classes(rs: RootSystem, seeds) -> tuple[ConjugacyClass, ...]:
-    """The conjugacy classes of the seeds; a seed inside a class already
-    found is skipped.  Each class is represented by its element with the
-    smallest matrix ``rows``, and the classes are sorted by that
-    representative."""
-    seen = set()
+    """The classes of the seeds, one orbit in memory at a time: an orbit
+    drops the seeds it holds from those not yet placed, and only its size
+    and strata are kept.  The classes are sorted by their representatives,
+    their row-smallest maxima."""
+    seeds = list(seeds)
+    pending = {seed.perm for seed in seeds}
     classes = []
     for seed in seeds:
-        if seed.perm in seen:
-            continue
-        found = _orbit(rs, seed)
-        seen.update(found)
-        elements, maxs, mins = _materialize(rs, found)
-        classes.append(ConjugacyClass(min(elements, key=_rows), elements, maxs, mins))
+        if seed.perm in pending:
+            found = _orbit(rs, seed)
+            pending -= found
+            size, maxs, mins = _materialize(rs, found)
+            del found
+            classes.append(ConjugacyClass(maxs[0], size, maxs, mins))
     classes.sort(key=lambda c: c.representative.rows)
     return tuple(classes)
 
@@ -277,8 +270,7 @@ def involution_classes(rs: RootSystem):
 
     Every involution is conjugate to the longest element w0J of some
     parabolic subgroup W_J (Richardson, Bull. Austral. Math. Soc. 26, 1982),
-    so the classes are those of the 2^rank seeds w0J, J a subset of the
-    simple roots, and the group itself is never enumerated.
+    so the 2^rank seeds w0J give every class; the group is never enumerated.
     """
     _rank_guard(rs.rank)
     cached = rs._memo.get("inv_classes")
@@ -328,12 +320,10 @@ def unique_max_involutions(rs: RootSystem) -> MaximalSet:
 def _conjugator_cosets(rs: RootSystem, u0):
     """A transversal of u0's class and the centralizer C_W(u0), as perms.
 
-    The class is grown by simple conjugations, and ``t[v]`` is a perm with
-    t[v] * u0 * t[v]^-1 = v, set by t[s v s] = s * t[v].  The Schreier
-    generators t[s v s]^-1 * s * t[v] generate the centralizer; one not yet
-    in the subgroup is added, and the subgroup is closed again under right
-    multiplication by its generators, until it has |W| / |class| elements.
-    The conjugators taking u to v are then exactly t[v] * C * t[u]^-1.
+    ``t[v] * u0 * t[v]^-1 = v``, set by t[s v s] = s * t[v].  The Schreier
+    generators t[s v s]^-1 * s * t[v] not yet in the subgroup are added, and
+    it is closed under right multiplication by them, until it has |W| /
+    |class| elements.  The conjugators taking u to v are t[v] * C * t[u]^-1.
     """
     mul, conj, inverse = rs._mul, rs._conj, rs._inverse
     simple = [s.perm for s in rs.simple_reflections]
@@ -396,21 +386,15 @@ def _strong_component(rs: RootSystem, stratum) -> set:
     """The perms that strong-conjugation chains link to u0 = stratum[0],
     within stratum, the perms of u0's class with u0's length.
 
-    A cyclic shift v = s*u*s, s simple, that stays in the stratum is a
-    strong step (Geck-Pfeiffer, Characters of Finite Coxeter Groups and
-    Iwahori-Hecke Algebras, 2000, §3.2), since s is then a descent of u on
-    one side.  Were l(s*u) = l(u*s) = l(u) + 1 with v != u, then l(v) <
-    l(s*u), and the exchange condition would give v = (s*u)*s from s times a
-    reduced word of u by deleting one letter; deleting a letter of u's word
-    would make u*s shorter than u, so the first s goes and v = u.
-
-    The walk takes the shifts from every reached perm, and on a maximal
-    stratum they alone link most classes.  Only when perms stay unseen is
-    the centralizer C_W(u0) built; reached perms, in order, are then tested
-    against each unseen v, and a link takes the shifts from v before the
-    next test, so at most one link is found into each shift component.  The
-    relation is symmetric (when x is a strong step from u to v, x^-1 is one
-    from v to u), so a perm that no reached perm steps to is not linked.
+    A shift v = s*u*s != u, s simple, in the stratum is a strong step
+    (Geck-Pfeiffer, Characters of Finite Coxeter Groups and Iwahori-Hecke
+    Algebras, 2000, §3.2): were l(s*u) = l(u*s) = l(u) + 1, the exchange
+    condition would delete a letter of u's word from s*u*s, making u*s
+    shorter than u, or give v = u.  The walk takes the shifts from each
+    reached perm; only if perms stay unseen is C_W(u0) built, and reached
+    perms are tested in order against each unseen v, taking the shifts from
+    v after each link.  A strong step's inverse steps back, so no other
+    perm is linked.
     """
     conj, ranks = rs._conj, range(rs.rank)
     reached = [stratum[0]]
@@ -447,9 +431,7 @@ def property_one(rs: RootSystem, J) -> bool:
         return False
     w0 = rs.w0
     w0J = longest_element(rs, J)
-    return all(
-        w0(rs.simple_roots[i - 1]) == w0J(rs.simple_roots[i - 1]) for i in J
-    )
+    return all(w0(rs.simple_roots[i - 1]) == w0J(rs.simple_roots[i - 1]) for i in J)
 
 
 def property_two(rs: RootSystem, J) -> bool:
@@ -468,13 +450,11 @@ def property_two(rs: RootSystem, J) -> bool:
         if any(pairing(i, j) != 0 for j in J if j != i):
             continue  # not isolated
         for b in range(1, rs.rank + 1):
-            if b == i:
-                continue
-            if pairing(b, b) != pairing(i, i) or pairing(b, i) == 0:
-                continue
-            if any(pairing(b, j) != 0 for j in J if j != i):
-                continue
-            if dp[b - 1] == b:
+            if (
+                b != i and dp[b - 1] == b
+                and pairing(b, b) == pairing(i, i) and pairing(b, i) != 0
+                and all(pairing(b, j) == 0 for j in J if j != i)
+            ):
                 return False
     return True
 
@@ -505,10 +485,7 @@ def fixed_simple_roots(m: WeylElement) -> frozenset[int]:
     """Indices of the simple roots fixed by an involution."""
     if not m.is_involution():
         raise ValueError("fixed_simple_roots expects an involution")
-    rs = m.rs
-    return frozenset(
-        i + 1 for i, a in enumerate(rs.simple_roots) if m(a) == a
-    )
+    return frozenset(i + 1 for i, a in enumerate(m.rs.simple_roots) if m(a) == a)
 
 
 def catalog_subsets(t) -> frozenset[frozenset[int]]:
@@ -579,13 +556,10 @@ def _catalog_entries(t) -> list[dict]:
     as ``_fmt`` formats it and its length.  The walks read only the simple-root
     images (``coxeter._image_walk``), so no root system is built:
 
-    - w0 and each w0J grow by the rule of ``longest_element``;
-    - m_J(alpha_i) = w0(w0J(alpha_i)), and w0(alpha_k) = -alpha_delta(k),
-      with delta read off w0's images; delta is an involution;
-    - l(m_J) = N - l(w0J);
-    - in type A, m_J(alpha_i) = e_m(i) - e_m(i+1) gives the cycles; else the
-      reduced word is walked as ``reduced_word`` walks it.
-
+    w0 and each w0J grow by the rule of ``longest_element``; m_J(alpha_i) =
+    w0(w0J(alpha_i)), w0(alpha_k) = -alpha_delta(k) with delta read off w0's
+    images, and l(m_J) = N - l(w0J).  Type A reads its cycles off m_J(alpha_i)
+    = e_m(i) - e_m(i+1); the others walk the word as ``reduced_word`` does.
     Guarded by _CATALOG_LIMIT_S, first on the two trivial subsets alone, so
     a huge rank is refused before ``catalog_subsets`` builds rank^2 data.
     """
@@ -635,28 +609,17 @@ def verify_unique_max_classification(t) -> Report:
     enumeration, and the stored catalog all produce the same set."""
     rs = _suite_system(t)
     rep = Report(f"unique-max classification {rs.cartan_type}")
-    from_props = frozenset(
-        subset_involution(rs, J) for J in classifying_subsets(rs)
-    )
+    from_props = frozenset(subset_involution(rs, J) for J in classifying_subsets(rs))
     computed = unique_max_involutions(rs).members
     from_catalog = frozenset(
         subset_involution(rs, J) for J in catalog_subsets(rs.cartan_type)
     )
     subject = str(rs.cartan_type)
-    rep.require(
-        subject,
-        "computed-set-equals-property-enumeration",
-        "EXACT",
-        computed ^ from_props,
-        _fmt,
-    )
-    rep.require(
-        subject,
-        "property-enumeration-equals-catalog",
-        "EXACT",
-        from_props ^ from_catalog,
-        _fmt,
-    )
+    for check, offenders in (
+        ("computed-set-equals-property-enumeration", computed ^ from_props),
+        ("property-enumeration-equals-catalog", from_props ^ from_catalog),
+    ):
+        rep.require(subject, check, "EXACT", offenders, _fmt)
     rep.add(subject, "member-count", "EXACT", len(computed) == len(from_catalog))
     return rep
 
@@ -666,12 +629,11 @@ def _stable_subset_classes(rs: RootSystem) -> dict:
     and K share a label when some x with w0 * x * w0 = x maps the simple
     roots of J onto those of K.
 
-    The classes are closed from elementary steps (Howlett, J. London Math.
-    Soc. 21, 1980; Deodhar, Comm. Algebra 10, 1982; Steinberg, Mem. AMS 80,
-    §11, for the twist by -w0).  For J stable, O an orbit of the -w0
-    symmetry outside J and L = J | O, the element w0L * w0J commutes with
-    w0 and maps J onto K = -w0L(J).  A union-find joins each such J and K,
-    over at most 2^rank subsets; the group is never enumerated.
+    Closed from elementary steps (Howlett, J. London Math. Soc. 21, 1980;
+    Deodhar, Comm. Algebra 10, 1982; Steinberg, Mem. AMS 80, §11, for the
+    twist): for J stable and L = J | O, O a -w0 orbit outside J, w0L * w0J
+    commutes with w0 and maps J onto K = -w0L(J).  A union-find joins each
+    such J and K; the group is never enumerated.
     """
     delta = delta0_permutation(rs)
     stable = [J for J in _subsets(rs.rank) if {delta[i - 1] for i in J} == J]
@@ -694,26 +656,54 @@ def _stable_subset_classes(rs: RootSystem) -> dict:
     return {J: find(J) for J in stable}
 
 
+def _climb(rs: RootSystem, u, top: dict):
+    """``top[v]`` for a perm v conjugate to u, or None: the walk searches
+    u's level, what its equal-length shifts s*u*s reach, for a key of
+    ``top``, and moves on from the first strict ascent, at most N times.
+    Every element ascends to its maximal stratum without shortening
+    (Geck-Pfeiffer 2000, §3.2), so a level with no ascent is maximal."""
+    conj, length = rs._conj, rs._length
+    lu = length(u)
+    level, seen = [u], {u}
+    for v in level:
+        if v in top:
+            return top[v]
+        for i in range(rs.rank):
+            w = conj(v, i, i)
+            if w not in seen:
+                seen.add(w)
+                lw = length(w)
+                if lw > lu:
+                    return _climb(rs, w, top)
+                if lw == lu:
+                    level.append(w)
+    return None
+
+
 def verify_subset_conjugacy(t) -> Report:
     """For subsets J, K with Property (1): the attached involutions are
-    conjugate exactly when some -w0-symmetric element, one with
-    w0 * x * w0 = x, maps J onto K.
+    conjugate exactly when some x with w0 * x * w0 = x maps J onto K.
 
-    Conjugacy is read off ``involution_classes`` and the mappings off the
-    closure of ``_stable_subset_classes``, two independent computations.
-    Known limit: on every type tried (A1-A8, B2-B6, C2-C5, D4-D8, E6-E8,
-    F4, G2) the closure agrees with the untwisted one (steps over single
-    simple roots, any x in W) on the Property-(1) subsets, so a fault that
-    dropped the symmetry condition would not show here.
+    Conjugacy is read off the stored maxima an involution climbs to (its
+    orbit is grown only where ``_climb`` stops short), the mappings off
+    ``_stable_subset_classes``.  Known limit: on every type tried (A1-A8,
+    B2-B6, C2-C5, D4-D8, E6-E8, F4, G2) that closure agrees with the
+    untwisted one on the Property-(1) subsets, so a fault that dropped the
+    symmetry condition would not show here.
     """
     rs = _suite_system(t)
     rep = Report(f"subset conjugacy {rs.cartan_type}")
     subsets = sorted(subsets_with_property_one(rs), key=sorted)
-    classes = [c.elements for c in involution_classes(rs)]
+    top = {
+        w.perm: k for k, c in enumerate(involution_classes(rs)) for w in c.max_length
+    }
     class_of_subset = {}
     for J in subsets:
         m = subset_involution(rs, J)
-        class_of_subset[J] = next(k for k, c in enumerate(classes) if m in c)
+        k = _climb(rs, m.perm, top)
+        if k is None:
+            k = next(top[p] for p in _orbit(rs, m) if p in top)
+        class_of_subset[J] = k
     label = _stable_subset_classes(rs)
     subject = str(rs.cartan_type)
     for J in subsets:
@@ -738,10 +728,7 @@ def verify_twisted_minimum(t) -> Report:
     rep = Report(f"twisted minimum {rs.cartan_type}")
     delta = delta0_permutation(rs)
     subject = str(rs.cartan_type)
-    for m in sorted(
-        unique_max_involutions(rs).members,
-        key=lambda w: (w.length, w.rows),
-    ):
+    for m in sorted(unique_max_involutions(rs).members, key=_length_rows):
         u = rs.w0 * m
         mins = _materialize(rs, _orbit(rs, u, delta))[2]
         ok = mins == (u,)
@@ -760,19 +747,13 @@ def verify_coxeter_bound(t) -> Report:
     involution in the Bruhat order."""
     rs = _suite_system(t)
     rep = Report(f"coxeter bound {rs.cartan_type}")
-    cox = sorted(coxeter_elements(rs), key=lambda w: w.rows)
-    members = unique_max_involutions(rs).members
+    cox = sorted(coxeter_elements(rs), key=_rows)
     subject = str(rs.cartan_type)
-    for m in sorted(members, key=lambda w: (w.length, w.rows)):
-        if m.is_identity:
-            continue
-        rep.require(
-            subject,
-            f"coxeter-elements-below m={_fmt(m)}",
-            "EXACT",
-            (c for c in cox if not bruhat_leq(c, m)),
-            _fmt,
-        )
+    for m in sorted(unique_max_involutions(rs).members, key=_length_rows):
+        if not m.is_identity:
+            below = (c for c in cox if not bruhat_leq(c, m))
+            check = f"coxeter-elements-below m={_fmt(m)}"
+            rep.require(subject, check, "EXACT", below, _fmt)
     return rep
 
 
@@ -781,10 +762,11 @@ def verify_ascent_classes(t, allow_large: bool = False) -> Report:
     chain to a maximal-length element, and all maximal-length elements are
     pairwise linked by strong-conjugation chains.
 
-    The maxima are linked in one walk (``_strong_component``): cyclic
-    shifts u -> s*u*s that keep the length are strong steps (Geck-Pfeiffer
-    2000, §3.2), and a centralizer is built only for a class whose maximal
-    stratum they leave in several pieces (3 of the 25 classes of W(E6)).
+    The first holds when the reverse closure of the maxima has as many
+    perms as the class; a class that fails is grown again to name the rest.
+    The maxima are linked by ``_strong_component``, which builds a
+    centralizer for 3 of the 25 classes of W(E6).  Classes are reported in
+    the order of their labels, their row-smallest members.
 
     The classes come from the whole group, so it refuses Weyl groups with
     more than STRONG_CONJ_LIMIT elements unless allow_large is set.
@@ -794,8 +776,13 @@ def verify_ascent_classes(t, allow_large: bool = False) -> Report:
     rs = build_root_system(t)
     rep = Report(f"ascent suite {rs.cartan_type}")
     subject = str(rs.cartan_type)
+    conj, length, roots, simple = rs._conj, rs._length, rs.roots, rs.simple_index
+
+    def rows(p):
+        return tuple(zip(*(roots[p[k]] for k in simple)))
+
+    checked = {}
     for c in conjugacy_classes(rs, allow_large):
-        label = f"class-of-{_fmt(c.representative)}"
         # reverse closure: which elements reach the maximal stratum by ascents
         reached = {w.perm for w in c.max_length}
         frontier = [(w.perm, w.length) for w in c.max_length]
@@ -803,28 +790,27 @@ def verify_ascent_classes(t, allow_large: bool = False) -> Report:
             nxt = []
             for p, lp in frontier:
                 for i in range(rs.rank):
-                    q = rs._conj(p, i, i)
+                    q = conj(p, i, i)
                     if q not in reached:
-                        lq = rs._length(q)
+                        lq = length(q)
                         if lq <= lp:
                             reached.add(q)
                             nxt.append((q, lq))
             frontier = nxt
-        rep.require(
-            subject,
-            f"{label} ascent-to-maximal",
-            "EXACT",
-            (w for w in c.elements if w.perm not in reached),
-            _fmt,
-        )
+        members, missed = reached, ()
+        if len(reached) != len(c):
+            members = _orbit(rs, c.representative)
+            missed = [WeylElement(rs, p) for p in members if p not in reached]
+        first = min(members, key=rows)
+        checked[rows(first)] = WeylElement(rs, first), missed, c
+    for key in sorted(checked):
+        first, missed, c = checked[key]
+        label = f"class-of-{_fmt(first)}"
+        rep.require(subject, f"{label} ascent-to-maximal", "EXACT", missed, _fmt)
         # strong-conjugation connectivity on the maximal stratum
         if len(c.max_length) > 1:
             linked = _strong_component(rs, [w.perm for w in c.max_length])
-            rep.require(
-                subject,
-                f"{label} maxima-strongly-linked",
-                "EXACT",
-                (w for w in c.max_length if w.perm not in linked),
-                _fmt,
-            )
+            unlinked = (w for w in c.max_length if w.perm not in linked)
+            check = f"{label} maxima-strongly-linked"
+            rep.require(subject, check, "EXACT", unlinked, _fmt)
     return rep

@@ -295,10 +295,12 @@ def test_e8_classification(capsys):
     """`bruhatcells verify --type E8` with no flags: the classification,
     twisted-min, subset-conjugacy and Coxeter-bound suites pass and only
     ascent is skipped, W(E8) is never enumerated.  199,952 involutions in
-    10 classes; 4.3-4.7 s of CPU time and 115 MB peak RSS for the whole run
-    with bytes permutations (2 vCPUs, Python 3.11), of which the
-    classification takes 2.3-3.8 s; tuple permutations needed about 19 s
-    and 462 MB for it, integer matrices about 109 s and 268 MB."""
+    10 classes, the largest of 113,400; 1.65-1.83 s of CPU time and 54 MB
+    peak RSS for the whole run, three runs (2 vCPUs, Python 3.11), of which
+    the classification takes 1.5-2.3 s in a process of its own.  Holding
+    every member of every class took 2.5-2.9 s and 103 MB on the same
+    runs, tuple permutations about 19 s and 462 MB for the classification,
+    integer matrices about 109 s and 268 MB."""
     try:
         code = main(["verify", "--type", "E8", "--format", "json"])
         data = json.loads(capsys.readouterr().out)
@@ -321,9 +323,9 @@ def test_e8_classification(capsys):
 def test_rank_9_classification(name):
     """The catalog's parametric A-D rules at rank 9, the bound of the
     involution-side suites: B9 and C9 have 168,992 involutions in 30
-    classes and take 3.4 s of CPU time and 79 MB peak RSS each (2 vCPUs,
-    Python 3.11), D9 (84,496 in 15) 1.5 s and 47 MB, A9 (9,496 in 6)
-    0.2 s and 19 MB."""
+    classes and take 1.0-1.2 s of CPU time and 24-25 MB peak RSS each, D9
+    (84,496 in 15) 0.5 s and 24 MB, A9 (9,496 in 6) 0.05-0.06 s and 16 MB,
+    each in a process of its own, two runs (2 vCPUs, Python 3.11)."""
     try:
         rep = verify_unique_max_classification(name)
         announce(f"classification {name}", rep.passed, "" if rep.passed else rep.to_text())

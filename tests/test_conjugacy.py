@@ -1,3 +1,4 @@
+import tracemalloc
 from functools import lru_cache
 
 import pytest
@@ -5,10 +6,13 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from bruhatcells.conjugacy import (
+    ConjugacyClass,
     _catalog_entries,
     _classes,
+    _climb,
     _conjugator_cosets,
     _fmt,
+    _orbit,
     _stable_subset_classes,
     _strong_component,
     _strongly_linked,
@@ -51,6 +55,12 @@ def cycles(w):
     return weyl_to_permutation(w).cycle_string()
 
 
+def members(c):
+    """The members of a class, regrown from its representative."""
+    rs = c.representative.rs
+    return frozenset(WeylElement(rs, p) for p in _orbit(rs, c.representative, c.delta))
+
+
 def max_length_involutions(rs):
     """The maximal-length members, unique or not, of the involution classes."""
     return {m for c in involution_classes(rs) for m in c.max_length}
@@ -69,7 +79,7 @@ class TestConjugacyClasses:
         rs = build_root_system("A3")
         c = conjugacy_class(simple_reflection(rs, 1))
         assert len(c) == 6  # one per 2-subset of {1..4}
-        assert {cycles(w) for w in c.elements} == {
+        assert {cycles(w) for w in members(c)} == {
             "(1 2)", "(2 3)", "(3 4)", "(1 3)", "(2 4)", "(1 4)"
         }
 
@@ -77,8 +87,9 @@ class TestConjugacyClasses:
         for name in ["A2", "B2", "A3"]:
             rs = build_root_system(name)
             for c in conjugacy_classes(rs):
-                for v in c.elements:
-                    assert conjugacy_class(v).elements == c.elements
+                elements = members(c)
+                for v in elements:
+                    assert members(conjugacy_class(v)) == elements
 
     def test_classes_partition_group(self):
         for name in ["A3", "B3"]:
@@ -86,21 +97,22 @@ class TestConjugacyClasses:
             classes = conjugacy_classes(rs)
             total = sum(len(c) for c in classes)
             assert total == rs.cartan_type.weyl_order
-            union = set().union(*(c.elements for c in classes))
+            union = set().union(*(members(c) for c in classes))
             assert len(union) == total
 
     @pytest.mark.parametrize("name", ["A3", "B3", "A4", "B4", "D4"])
     def test_closed_under_inverse(self, name):
         rs = build_root_system(name)
         for c in conjugacy_classes(rs):
-            for w in c.elements:
-                assert w.inv() in c.elements
+            elements = members(c)
+            for w in elements:
+                assert w.inv() in elements
 
     def test_extremal_elements(self):
         rs = build_root_system("A2")
         c = conjugacy_class(simple_reflection(rs, 1))
         # the three transpositions: lengths 1, 1, 3, so a unique maximum
-        assert sorted(w.length for w in c.elements) == [1, 1, 3]
+        assert sorted(w.length for w in members(c)) == [1, 1, 3]
         assert c.is_unique_max and c.max_length[0] == rs.w0
         assert len(c.min_length) == 2
         # the two 3-cycles have equal length: no unique maximum
@@ -113,10 +125,11 @@ class TestConjugacyClasses:
         for name in ["A3", "B3"]:
             rs = build_root_system(name)
             for c in conjugacy_classes(rs):
+                elements = members(c)
                 bruhat_maximal = {
                     w
-                    for w in c.elements
-                    if not any(v != w and bruhat_leq(w, v) for v in c.elements)
+                    for w in elements
+                    if not any(v != w and bruhat_leq(w, v) for v in elements)
                 }
                 assert bruhat_maximal == set(c.max_length)
 
@@ -144,14 +157,14 @@ class TestTwistedClasses:
         rs = build_root_system("B3")
         ident = tuple(range(1, rs.rank + 1))
         for w in enumerate_weyl_group(rs)[::7]:
-            assert twisted_class(w, ident).elements == conjugacy_class(w).elements
+            assert members(twisted_class(w, ident)) == members(conjugacy_class(w))
 
     def test_b3_delta0_is_identity_twist(self):
         rs = build_root_system("B3")
         delta = delta0_permutation(rs)
         assert delta == (1, 2, 3)
         w = simple_reflection(rs, 2)
-        assert twisted_class(w, delta).elements == conjugacy_class(w).elements
+        assert members(twisted_class(w, delta)) == members(conjugacy_class(w))
 
     def test_rejects_non_automorphism(self):
         rs = build_root_system("B3")
@@ -170,7 +183,7 @@ class TestTwistedClasses:
         for c in conjugacy_classes(rs):
             w = c.representative
             tc = twisted_class(rs.w0 * w, delta)
-            assert {rs.w0 * u for u in c.elements} == set(tc.elements)
+            assert {rs.w0 * u for u in members(c)} == set(members(tc))
             assert {rs.w0 * u for u in c.max_length} == set(tc.min_length)
 
 
@@ -218,19 +231,20 @@ class TestAscent:
     def test_chains_stay_in_class_and_rise(self):
         rs = build_root_system("B2")
         for c in conjugacy_classes(rs):
-            for w in c.elements:
+            elements = members(c)
+            for w in elements:
                 for i in range(1, 3):
                     v = ascent_step(w, i)
                     if v is not None:
                         assert v.length >= w.length
-                        assert v in c.elements
+                        assert v in elements
 
     @pytest.mark.parametrize("name", ["A3", "B3"])
     def test_every_element_ascends_to_a_maximum(self, name):
         rs = build_root_system(name)
         for c in conjugacy_classes(rs):
             top = set(c.max_length)
-            for w in c.elements:
+            for w in members(c):
                 assert any(ascent_reachable(w, m) for m in top)
 
 
@@ -280,7 +294,30 @@ class TestInvolutionClasses:
         rs = RootSystem(CartanType.from_string(name))
         invs = [w for w in enumerate_weyl_group(rs) if w.is_involution()]
         reference = _classes(rs, invs)
-        assert involution_classes(RootSystem(CartanType.from_string(name))) == reference
+        classes = involution_classes(RootSystem(CartanType.from_string(name)))
+        assert classes == reference
+        # the members, regrown, against conjugation by every element of W
+        mul, inverse = rs._mul, rs._inverse
+        group = [g.perm for g in enumerate_weyl_group(rs)]
+        partition = set()
+        for w in invs:
+            if not any(w.perm in part for part in partition):
+                partition.add(frozenset(mul(mul(g, w.perm), inverse(g)) for g in group))
+        assert {frozenset(_orbit(rs, c.representative)) for c in classes} == partition
+
+    def test_classes_hold_no_members(self):
+        # B8 has 32,400 involutions in 25 classes; with a frozenset of
+        # every member per class, the classes held 8.7 MB
+        rs = RootSystem(CartanType("B", 8))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            classes = involution_classes(rs)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert sum(map(len, classes)) == 32400
+        assert held <= 2**20
 
     def test_group_is_not_enumerated(self):
         rs = RootSystem(CartanType("E", 6))
@@ -292,6 +329,61 @@ class TestInvolutionClasses:
         # the classes are grown from 2^rank seeds; E8 is admitted, rank 10 not
         with pytest.raises(GuardError, match="rank 10 > 9"):
             involution_classes(RootSystem(CartanType("A", 10)))
+
+
+def _count_orbits(monkeypatch):
+    """Record the seed of each ``_orbit`` call, i.e. each orbit grown."""
+    grown = []
+    orbit = conjugacy._orbit
+
+    def counted(rs, seed, delta=None):
+        grown.append(seed)
+        return orbit(rs, seed, delta)
+
+    monkeypatch.setattr(conjugacy, "_orbit", counted)
+    return grown
+
+
+class TestClimb:
+    """``verify_subset_conjugacy`` labels each involution by the stored
+    maximum it climbs to, and grows an orbit only where the climb stops."""
+
+    @pytest.mark.parametrize(
+        "name",
+        ["A1", "A2", "A3", "A4", "A5", "A6", "B2", "B3", "B4", "B5", "C2", "C3",
+         "C4", "C5", "D4", "D5", "D6", "E6", "F4", "G2"],
+    )
+    def test_no_orbit_is_grown(self, name, monkeypatch):
+        involution_classes(build_root_system(name))  # their orbits not counted
+        grown = _count_orbits(monkeypatch)
+        assert verify_subset_conjugacy(name).passed
+        assert grown == []
+
+    @pytest.mark.parametrize(
+        "name,fallbacks", [("B3", 1), ("B4", 3), ("D4", 3), ("F4", 4)]
+    )
+    def test_stripped_strata_fall_back_to_orbits(self, name, fallbacks, monkeypatch):
+        # with one maximum kept per class, some climbs end on a maximal level
+        # that holds no stored key; the orbits they grow give the same report
+        rs = build_root_system(name)
+        want = verify_subset_conjugacy(name).to_text()
+        stripped = tuple(
+            ConjugacyClass(c.representative, len(c), c.max_length[:1], c.min_length)
+            for c in involution_classes(rs)
+        )
+        monkeypatch.setitem(rs._memo, "inv_classes", stripped)
+        grown = _count_orbits(monkeypatch)
+        assert verify_subset_conjugacy(name).to_text() == want
+        assert len(grown) == fallbacks
+
+    @pytest.mark.parametrize("name", ["A3", "A4", "B3", "B4", "D4", "F4", "G2"])
+    def test_every_involution_climbs_to_its_class(self, name):
+        rs = build_root_system(name)
+        classes = involution_classes(rs)
+        top = {w.perm: k for k, c in enumerate(classes) for w in c.max_length}
+        for k, c in enumerate(classes):
+            for w in members(c):
+                assert _climb(rs, w.perm, top) == k
 
 
 @pytest.mark.parametrize(

@@ -54,7 +54,7 @@ from bruhatcells import conjugacy
 classes = conjugacy.conjugacy_classes
 conjugacy.conjugacy_classes = lambda rs, allow_large=False: [
     conjugacy.ConjugacyClass(
-        c.representative, c.elements, c.min_length, c.min_length, c.delta
+        c.representative, len(c), c.min_length, c.min_length, c.delta
     )
     for c in classes(rs, allow_large)
 ]

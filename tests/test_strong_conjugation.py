@@ -15,13 +15,14 @@ import pytest
 from bruhatcells import conjugacy
 from bruhatcells.conjugacy import (
     _conjugator_cosets,
+    _orbit,
     _strong_component,
     _strongly_linked,
     conjugacy_classes,
     enumerate_weyl_group,
     verify_ascent_classes,
 )
-from bruhatcells.coxeter import build_root_system
+from bruhatcells.coxeter import WeylElement, build_root_system
 
 EDGE_TYPES = ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4",
               "C2", "C3", "C4", "D4", "G2", "F4"]
@@ -70,7 +71,7 @@ def test_transversal_centralizer_and_orbit_stabilizer(name):
     for c in conjugacy_classes(rs):
         u0 = c.max_length[0].perm
         t, centralizer = _conjugator_cosets(rs, u0)
-        assert set(t) == {w.perm for w in c.elements}
+        assert set(t) == _orbit(rs, c.representative)
         for v, tv in t.items():
             assert mul(mul(tv, u0), inverse(tv)) == v
         for x in centralizer:
@@ -103,7 +104,10 @@ def test_strongly_conjugate_matches_whole_group_search(name):
     group, inverses = _reference(rs)
     checked = linked = 0
     for c in conjugacy_classes(rs):
-        members = sorted(c.elements, key=lambda w: (w.length, w.rows))
+        members = sorted(
+            (WeylElement(rs, p) for p in _orbit(rs, c.representative)),
+            key=lambda w: (w.length, w.rows),
+        )
         for w in members:
             stratum = [w.perm] + [
                 v.perm for v in members if v.length == w.length and v != w
