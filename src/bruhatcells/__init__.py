@@ -104,13 +104,12 @@ __version__ = "0.1.0"
 def clear_caches() -> None:
     """Drop every cached result: the memo of each root system built so far
     (classes, Bruhat order, longest elements), the cached root systems, the
-    type-A lower sets, and the oracle's support plans, index maps (column
-    reversals, off-diagonals, the n-cycle) and cycle-type tables.  Later calls
-    recompute what they need."""
+    type-A lower sets, and the oracle's support plans and index maps (column
+    reversals, off-diagonals, the n-cycle).  Later calls recompute what they
+    need."""
     coxeter._clear_caches()
     sl_criteria._lower_set.cache_clear()
     oracle._support_plan.cache_clear()
     oracle._off_diagonal.cache_clear()
     oracle._cycle_conjugation.cache_clear()
     oracle._column_reversal.cache_clear()
-    oracle._cycle_type_classes.cache_clear()

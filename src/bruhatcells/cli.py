@@ -89,6 +89,7 @@ def cmd_verify(args) -> int:
     named = args.checks != "all"
     if named:
         selected = [c.strip() for c in args.checks.split(",") if c.strip()]
+        selected = list(dict.fromkeys(selected))  # a repeated name runs once
         if not selected:
             return _fail_usage(
                 f"no checks named in {args.checks!r}; available: "

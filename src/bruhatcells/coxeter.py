@@ -57,7 +57,8 @@ __all__ = [
 
 # Full-group enumerations refuse anything larger unless allow_large is set.
 ENUMERATION_LIMIT = 10**7
-# The involution side never walks W; at rank 9 its suites take <= 4.7 s and 115 MB.
+# The involution side never walks W.  `bruhatcells verify` takes 1.3-1.7 s of CPU
+# and 35 MB at B9 and C9, and 1.5-2.2 s and 54 MB at E8 (2 vCPUs, Python 3.11).
 _RANK_LIMIT = 9
 # A permutation of the roots is one byte per root.
 _ROOT_LIMIT = 256

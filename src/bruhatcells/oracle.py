@@ -37,12 +37,12 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache, partial
 from itertools import product
-from math import isqrt
+from math import factorial, isqrt
 from operator import itemgetter
 
 from ._record import Record
 from .errors import GuardError
-from .partitions import cycle_type, partitions_of
+from .partitions import partitions_of
 from .permutations import (
     Permutation,
     all_permutations,
@@ -707,10 +707,16 @@ def validate_class(
     SOUND checks must pass on any run (finite membership implies geometric
     membership); COMPLETE checks assert the empirical sets equal the
     predicted ones and are expected to hold at the COMPLETE_PAIRS sizes.
+    A table passed in must be that of c over F_p; ValueError otherwise.
     """
     lower = bruhat_lower_set(c)  # its degree guard refuses before the walk
     if table is None:
         table = intersection_table(c, p)
+    elif table.jordan != c or table.p != p:
+        raise ValueError(
+            f"the table is of {table.jordan.describe()} at p={table.p}, "
+            f"not of {c.describe()} at p={p}"
+        )
     n = c.n_plus_1
     rep = Report(f"class checks SL({n}) {c.describe()} p={p}")
     subject = f"SL({n}) {c.describe()} q={p}"
@@ -728,12 +734,9 @@ def validate_class(
     require("opposite-members-below-dense-element", "SOUND", opposite - lower, cyc)
     bad = (w for w in cells if w.is_involution and not involution_cell_meets(c, w))
     require("involutions-obey-two-cycle-cap", "SOUND", bad, cyc)
-    weyl_classes = _cycle_type_classes(n)
-    bad = (
-        lam
-        for lam, members in weyl_classes.items()
-        if members <= cells and not weyl_class_inside(c, lam)
-    )
+    in_cells = _whole_classes(cells)
+    weyl_classes = [(lam, lam.parts in in_cells) for lam in partitions_of(n)]
+    bad = (lam for lam, whole in weyl_classes if whole and not weyl_class_inside(c, lam))
     require("contained-classes-dominated", "SOUND", bad)
 
     predicted_inv = {w for w in involutions(n) if involution_cell_meets(c, w)}
@@ -750,15 +753,12 @@ def validate_class(
         if max_ok
         else (table.bruhat_max.cycle_string() if table.bruhat_max else "none"),
     )
-    bad = (
-        lam
-        for lam, members in weyl_classes.items()
-        if (members <= cells) != weyl_class_inside(c, lam)
-    )
+    bad = (lam for lam, whole in weyl_classes if whole != weyl_class_inside(c, lam))
     require("class-containment-matches-dominance", "COMPLETE", bad)
     bad = (w for w in opposite if not any(bruhat_leq_perm(w, v) for v in cells))
     require("opposite-members-below-some-member", "COMPLETE", bad, cyc)
-    bad = (w for w in cells if not weyl_classes[cycle_type(w)] <= opposite)
+    in_opposite = _whole_classes(opposite)
+    bad = (w for w in cells if w.cycle_lengths() not in in_opposite)
     require("member-classes-inside-opposite", "COMPLETE", bad, cyc)
     if is_spherical(c):
         require("spherical-cells-match", "COMPLETE", cells ^ spherical_weyl_set(c), cyc)
@@ -769,9 +769,17 @@ def validate_class(
     return rep
 
 
-@lru_cache(maxsize=None)
-def _cycle_type_classes(n: int) -> dict:
-    out: dict = {}
-    for w in all_permutations(n):
-        out.setdefault(cycle_type(w), set()).add(w)
-    return {lam: frozenset(ws) for lam, ws in out.items()}
+def _class_size(lengths: tuple[int, ...]) -> int:
+    """The number of permutations with these cycle lengths: n!/z with
+    z = prod_i i^(m_i) m_i!, m_i the number of cycles of length i."""
+    size = factorial(sum(lengths))
+    for length, m in Counter(lengths).items():
+        size //= length**m * factorial(m)
+    return size
+
+
+def _whole_classes(ws) -> set[tuple[int, ...]]:
+    """The cycle lengths of the S_n classes that lie wholly inside the set
+    ws of permutations: those of which ws holds all n!/z members."""
+    counts = Counter(w.cycle_lengths() for w in ws)
+    return {lam for lam, k in counts.items() if k == _class_size(lam)}

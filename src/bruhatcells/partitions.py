@@ -35,7 +35,7 @@ class Partition(Record):
             raise ValueError(f"parts must be positive: {parts}")
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
             raise ValueError(f"parts must be non-increasing: {parts}")
-        _set_parts(self, parts)  # the slot directly: the oracle types all of S_n
+        super().__init__(parts)
 
     @property
     def weight(self) -> int:
@@ -62,21 +62,27 @@ class Partition(Record):
         return cls(int(t) for t in s.split(",") if t.strip())
 
 
-_set_parts = Partition.parts.__set__
-
-
 def dominance_leq(lam: Partition, mu: Partition) -> bool:
     """Partial-sum comparison of two partitions of the same weight.
 
-    Shorter sequences are zero-padded.  Comparing different weights is an
-    error rather than False, to surface caller bugs.
+    Comparing different weights is an error rather than False, to surface
+    caller bugs.
     """
     if lam.weight != mu.weight:
         raise ValueError(f"weights differ: {lam.weight} vs {mu.weight}")
+    return _partial_sums_leq(lam.parts, mu.parts)
+
+
+def _partial_sums_leq(lam, mu) -> bool:
+    """Whether each partial sum of the parts lam is at most mu's, for two
+    part sequences of one weight.  zip stops at the shorter one, which
+    suffices with no zero padding: after mu's last part its partial sum is
+    the weight, which bounds lam's; after lam's last part both sums stay at
+    the weight once the comparison at that part has held."""
     a = b = 0
-    for k in range(max(len(lam), len(mu))):
-        a += lam.parts[k] if k < len(lam) else 0
-        b += mu.parts[k] if k < len(mu) else 0
+    for x, y in zip(lam, mu):
+        a += x
+        b += y
         if a > b:
             return False
     return True

@@ -103,8 +103,21 @@ class Permutation(Record):
 
     def cycle_lengths(self) -> tuple[int, ...]:
         """All cycle lengths including fixed points, non-increasing."""
-        lens = sorted(map(len, self.cycles()), reverse=True)
-        return tuple(lens) + (1,) * (self.degree - sum(lens))
+        im = self.images
+        seen = [False] * len(im)
+        lens = []
+        for start in range(len(im)):
+            if seen[start]:
+                continue
+            length = 0
+            i = start
+            while not seen[i]:
+                seen[i] = True
+                i = im[i] - 1
+                length += 1
+            lens.append(length)
+        lens.sort(reverse=True)
+        return tuple(lens)
 
     def cycle_string(self) -> str:
         cycles = self.cycles()

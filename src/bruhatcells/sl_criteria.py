@@ -17,7 +17,7 @@ from math import factorial
 
 from ._record import Record
 from .errors import GuardError
-from .partitions import Partition, partitions_of
+from .partitions import Partition, _partial_sums_leq, partitions_of
 from .permutations import Permutation, _unchecked, exceedances, involutions
 
 __all__ = [
@@ -265,17 +265,8 @@ def weyl_class_inside(c: JordanClass, lam: Partition) -> bool:
     set of cells meeting C: dominance below the block-sum partition."""
     if lam.weight != c.n_plus_1:
         raise ValueError(f"cycle type has weight {lam.weight}, expected {c.n_plus_1}")
-    # dominance_leq(lam, block_sum_partition(c)) with no Partition built.
-    # zip stops at the shorter sequence, which suffices as both weigh n+1: past
-    # the block sums their partial sum is n+1, and where lam ends first its
-    # partial sum n+1 already exceeds theirs.
-    a = b = 0
-    for x, y in zip(lam.parts, _block_sums(c)):
-        a += x
-        b += y
-        if a > b:
-            return False
-    return True
+    # dominance_leq(lam, block_sum_partition(c)) with no Partition built
+    return _partial_sums_leq(lam.parts, _block_sums(c))
 
 
 def bruhat_lower_set(c: JordanClass) -> frozenset[Permutation]:

@@ -280,6 +280,12 @@ class TestVerify:
         data = json.loads(capsys.readouterr().out)
         assert data["passed"] is True
 
+    def test_repeated_check_runs_once(self, capsys):
+        args = ["verify", "--type", "A3", "--checks", "ascent,ascent", "--format", "json"]
+        assert main(args) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert [r["name"] for r in data["reports"]] == ["ascent suite A3"]
+
 
 class TestQuery:
     def test_involution_nonempty(self, jordan_file, capsys):

@@ -103,7 +103,6 @@ class TestRootSystem:
             oracle._off_diagonal,
             oracle._cycle_conjugation,
             oracle._column_reversal,
-            oracle._cycle_type_classes,
         ]
         assert held._memo and all(f.cache_info().currsize for f in caches)
         clear_caches()

@@ -34,6 +34,7 @@ from bruhatcells.oracle import (
     _support_plan,
     _torus_class,
 )
+from bruhatcells.partitions import partitions_of
 from bruhatcells.permutations import Permutation, all_permutations, bruhat_leq_perm
 from bruhatcells.sl_criteria import JordanClass
 from test_acceptance import borel_order
@@ -986,6 +987,94 @@ class TestValidateClass:
         assert validate_class(c, 5, table).passed
         failed = {r.check for r in validate_class(c, 5, doctored).failed()}
         assert "opposite-cells-equal-lower-set" in failed
+
+    def test_a_class_missing_one_cell_is_not_inside(self):
+        # (3, 1) is dominated by the block sums, so the 3-cycles all lie in the cells
+        c = JordanClass(4, [("u", (3, 1))], {"u": 1})
+        table = intersection_table(c, 3)
+        three_cycles = {w for w in table.cells if w.cycle_lengths() == (3, 1)}
+        assert len(three_cycles) == 8
+        doctored = IntersectionTable(
+            table.jordan,
+            table.p,
+            table.orbit_size,
+            table.cells - {min(three_cycles, key=lambda w: w.images)},
+            table.opposite_cells,
+            table.bruhat_max,
+        )
+        assert validate_class(c, 3, table).passed
+        failed = {r.check for r in validate_class(c, 3, doctored).failed()}
+        assert "class-containment-matches-dominance" in failed
+
+    def test_a_member_class_missing_one_opposite_cell_is_caught(self):
+        c = JordanClass(4, [("u", (3, 1))], {"u": 1})
+        table = intersection_table(c, 3)
+        met = {w.cycle_lengths() for w in table.cells}
+        # an opposite cell that is no cell, of a cycle type some cell has
+        dropped = min(
+            (w for w in table.opposite_cells - table.cells if w.cycle_lengths() in met),
+            key=lambda w: w.images,
+        )
+        doctored = IntersectionTable(
+            table.jordan,
+            table.p,
+            table.orbit_size,
+            table.cells,
+            table.opposite_cells - {dropped},
+            table.bruhat_max,
+        )
+        assert validate_class(c, 3, table).passed
+        failed = {r.check for r in validate_class(c, 3, doctored).failed()}
+        assert "member-classes-inside-opposite" in failed
+
+    def test_table_of_another_class_or_prime_is_refused(self):
+        central = JordanClass(3, [("x1", (1, 1, 1))], {"x1": 1})
+        transvection = JordanClass(3, [("x1", (2, 1))], {"x1": 1})
+        table = intersection_table(central, 5)
+        with pytest.raises(ValueError, match=r"x1=1\.1\.1 at p=5, not of x1=2\.1 at p=5"):
+            validate_class(transvection, 5, table)
+        with pytest.raises(ValueError, match=r"x1=1\.1\.1 at p=5, not of x1=1\.1\.1 at p=7"):
+            validate_class(central, 7, table)
+
+    def test_sl8_f2_transvection_passes_every_sound_check(self):
+        c = JordanClass(8, [("u", (2, 1, 1, 1, 1, 1, 1))], {"u": 1})
+        rep = validate_class(c, 2)
+        assert len(rep.results) > 6
+        assert not rep.failed(("SOUND",))
+
+
+@functools.lru_cache(maxsize=None)
+def cycle_type_classes(n):
+    """S_n grouped by cycle lengths, fixed points included, read off the
+    nontrivial cycles: the whole-group reference for ``_whole_classes``."""
+    out = collections.defaultdict(set)
+    for w in all_permutations(n):
+        lengths = [len(cyc) for cyc in w.cycles()]
+        lengths += [1] * (n - sum(lengths))
+        out[tuple(sorted(lengths, reverse=True))].add(w)
+    return {lam: frozenset(ws) for lam, ws in out.items()}
+
+
+class TestWholeClasses:
+    @given(st.data())
+    def test_counting_matches_the_grouping_of_s_n(self, data):
+        n = data.draw(st.integers(1, 6))
+        classes = cycle_type_classes(n)
+        perms = sorted((w for ws in classes.values() for w in ws), key=lambda w: w.images)
+        # whole classes, with some members dropped and strays added
+        chosen = data.draw(st.sets(st.sampled_from(sorted(classes))))
+        dropped = data.draw(st.sets(st.sampled_from(perms), max_size=3))
+        added = data.draw(st.sets(st.sampled_from(perms), max_size=20))
+        ws = set().union(*(classes[lam] for lam in chosen)) - dropped | added
+        expected = {lam for lam, members in classes.items() if members <= ws}
+        assert oracle._whole_classes(ws) == expected
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_class_sizes_sum_to_the_group_order(self, n):
+        sizes = {lam.parts: oracle._class_size(lam.parts) for lam in partitions_of(n)}
+        assert sum(sizes.values()) == math.factorial(n)
+        if n <= 6:
+            assert sizes == {lam: len(ws) for lam, ws in cycle_type_classes(n).items()}
 
 
 class TestFieldClasses:
