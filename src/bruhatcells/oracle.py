@@ -588,10 +588,28 @@ def intersection_table(
 def _bruhat_max(cells) -> Permutation | None:
     """The unique Bruhat-maximal permutation of a nonempty set, or None if
     it has several maximal ones.  In a finite poset a unique maximal element
-    lies above every element, so it is the unique longest one, and one
-    Bruhat test per element decides it."""
-    top = max(cells, key=length_order)
-    return top if all(bruhat_leq_perm(w, top) for w in cells) else None
+    lies above every element."""
+    tops = _bruhat_maximal(cells)
+    return tops[0] if len(tops) == 1 else None
+
+
+def _bruhat_maximal(cells) -> list[Permutation]:
+    """The Bruhat-maximal members of a set of permutations.  Taken longest
+    first, a member above w is longer than w and lies at or below a maximal
+    member found before w, so w is maximal iff it lies below none of
+    those."""
+    tops = []
+    for w in sorted(cells, key=length_order, reverse=True):
+        if not any(bruhat_leq_perm(w, top) for top in tops):
+            tops.append(w)
+    return tops
+
+
+def _below_no_cell(ws, cells) -> list[Permutation]:
+    """The w in ws below no member of cells in the Bruhat order.  By
+    transitivity it suffices to test the maximal members."""
+    tops = _bruhat_maximal(cells)
+    return [w for w in ws if not any(bruhat_leq_perm(w, v) for v in tops)]
 
 
 def cell_size_census(n: int, p: int, allow_large: bool = False) -> dict:
@@ -734,7 +752,8 @@ def validate_class(
     require("opposite-members-below-dense-element", "SOUND", opposite - lower, cyc)
     bad = (w for w in cells if w.is_involution and not involution_cell_meets(c, w))
     require("involutions-obey-two-cycle-cap", "SOUND", bad, cyc)
-    in_cells = _whole_classes(cells)
+    cell_types = {w: w.cycle_lengths() for w in cells}
+    in_cells = _whole_types(cell_types.values())
     weyl_classes = [(lam, lam.parts in in_cells) for lam in partitions_of(n)]
     bad = (lam for lam, whole in weyl_classes if whole and not weyl_class_inside(c, lam))
     require("contained-classes-dominated", "SOUND", bad)
@@ -755,10 +774,10 @@ def validate_class(
     )
     bad = (lam for lam, whole in weyl_classes if whole != weyl_class_inside(c, lam))
     require("class-containment-matches-dominance", "COMPLETE", bad)
-    bad = (w for w in opposite if not any(bruhat_leq_perm(w, v) for v in cells))
+    bad = _below_no_cell(opposite, cells)
     require("opposite-members-below-some-member", "COMPLETE", bad, cyc)
-    in_opposite = _whole_classes(opposite)
-    bad = (w for w in cells if w.cycle_lengths() not in in_opposite)
+    in_opposite = _whole_types(w.cycle_lengths() for w in opposite)
+    bad = (w for w, lam in cell_types.items() if lam not in in_opposite)
     require("member-classes-inside-opposite", "COMPLETE", bad, cyc)
     if is_spherical(c):
         require("spherical-cells-match", "COMPLETE", cells ^ spherical_weyl_set(c), cyc)
@@ -781,5 +800,11 @@ def _class_size(lengths: tuple[int, ...]) -> int:
 def _whole_classes(ws) -> set[tuple[int, ...]]:
     """The cycle lengths of the S_n classes that lie wholly inside the set
     ws of permutations: those of which ws holds all n!/z members."""
-    counts = Counter(w.cycle_lengths() for w in ws)
+    return _whole_types(w.cycle_lengths() for w in ws)
+
+
+def _whole_types(lengths) -> set[tuple[int, ...]]:
+    """The cycle lengths that occur in lengths, the cycle lengths of a set
+    of permutations, once for each member of their S_n class."""
+    counts = Counter(lengths)
     return {lam for lam, k in counts.items() if k == _class_size(lam)}

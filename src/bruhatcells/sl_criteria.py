@@ -6,13 +6,15 @@ are optional and checked by the finite-field oracle that uses them.  In the
 Weyl group S_{n+1}, the cell of an involution meets the class exactly when
 its 2-cycle count is within a cap computed from the Jordan data, and a whole
 Weyl class lies inside the intersection set exactly when its cycle type is
-dominated by the block-sum partition.
+dominated by the block-sum partition.  Both depend on the class alone, so a
+``JordanClass`` computes its cap and block sums once, when it is built, and
+every criterion reads them from there.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import permutations
+from itertools import permutations, zip_longest
 from math import factorial
 
 from ._record import Record
@@ -76,12 +78,17 @@ class JordanClass(Record):
     ``values`` optionally assigns an integer to each label, to be read in a
     prime field later; distinctness and the determinant-one constraint are
     then checked by the consumer that knows the field.
+
+    ``block_sums`` and ``cap`` are derived from the blocks when the class is
+    built: the parts of ``block_sum_partition`` and ``two_cycle_cap``.
     """
 
-    __slots__ = ("n_plus_1", "eigen_data", "values")
+    __slots__ = ("n_plus_1", "eigen_data", "values", "block_sums", "cap")
     n_plus_1: int
     eigen_data: tuple[EigenData, ...]
     values: dict[str, int] | None
+    block_sums: tuple[int, ...]
+    cap: int
 
     def __init__(self, n_plus_1: int, eigen_data, values=None):
         if type(n_plus_1) is not int or n_plus_1 < 1:
@@ -95,7 +102,13 @@ class JordanClass(Record):
             raise ValueError("a class needs at least one eigenvalue")
         if len(set(labels)) != len(labels):
             raise ValueError(f"labels repeat: {labels}")
-        total = sum(e.multiplicity for e in eigen_data)
+        # The t-th sum adds the t-th largest block of every label, so the
+        # sums are positive and non-increasing, one per dimension of the
+        # largest eigenspace.
+        block_sums = tuple(
+            map(sum, zip_longest(*[e.blocks for e in eigen_data], fillvalue=0))
+        )
+        total = sum(block_sums)
         if total != n_plus_1:
             raise ValueError(f"blocks sum to {total}, expected {n_plus_1}")
         if values is not None:
@@ -106,10 +119,14 @@ class JordanClass(Record):
                 raise ValueError("values must cover exactly the labels")
             if not all(type(v) is int for v in values.values()):
                 raise ValueError(f"values must be integers: {values}")
-        super().__init__(n_plus_1, eigen_data, values)
+        cap = min(n_plus_1 - len(block_sums), n_plus_1 // 2)
+        super().__init__(n_plus_1, eigen_data, values, block_sums, cap)
 
     def __hash__(self):  # values is a dict
         return hash((self.n_plus_1, self.eigen_data))
+
+    def __reduce__(self):  # the derived fields are rebuilt, not passed
+        return type(self), (self.n_plus_1, self.eigen_data, self.values)
 
     def __repr__(self):
         data = ", ".join(f"{e.label}:{list(e.blocks)}" for e in self.eigen_data)
@@ -140,6 +157,10 @@ class JordanClass(Record):
     @classmethod
     def from_json_dict(cls, d: dict) -> "JordanClass":
         """The inverse of ``to_json_dict``; ValueError on any other shape."""
+        if isinstance(d, dict):
+            for key in ("n_plus_1", "eigen_data"):
+                if key not in d:
+                    raise ValueError(f"missing key {key!r}")
         entries = d["eigen_data"] if isinstance(d, dict) else None
         if not isinstance(entries, list) or not all(
             isinstance(e, dict)
@@ -185,15 +206,16 @@ def eigenspace_corank(c: JordanClass) -> int:
     """n+1 minus the largest geometric eigenvalue multiplicity.
 
     The block count of a label is the dimension of that eigenspace, so this
-    equals the minimum over scalars z of rank(g - z*I).
+    equals the minimum over scalars z of rank(g - z*I).  The block sums
+    have one part per dimension of the largest eigenspace.
     """
-    return c.n_plus_1 - _max_block_count(c)
+    return c.n_plus_1 - len(c.block_sums)
 
 
 def two_cycle_cap(c: JordanClass) -> int:
     """The corank capped at floor((n+1)/2): the largest 2-cycle count an
     involution meeting the class in a Bruhat cell can have."""
-    return min(eigenspace_corank(c), c.n_plus_1 // 2)
+    return c.cap
 
 
 def block_sum_partition(c: JordanClass) -> Partition:
@@ -201,23 +223,7 @@ def block_sum_partition(c: JordanClass) -> Partition:
 
     The result has exactly n+1 - corank parts and weight n+1.
     """
-    return Partition(_block_sums(c))
-
-
-def _max_block_count(c: JordanClass) -> int:
-    """The largest number of blocks of one label: the largest eigenspace
-    dimension."""
-    return max([len(e.blocks) for e in c.eigen_data])
-
-
-def _block_sums(c: JordanClass) -> list[int]:
-    """The parts of block_sum_partition(c).  They are positive and
-    non-increasing, since each label's blocks are."""
-    sums = [0] * _max_block_count(c)
-    for e in c.eigen_data:
-        for t, b in enumerate(e.blocks):
-            sums[t] += b
-    return sums
+    return Partition(c.block_sums)
 
 
 def nested_involution(n_plus_1: int, l: int) -> Permutation:
@@ -233,21 +239,22 @@ def nested_involution(n_plus_1: int, l: int) -> Permutation:
 def dense_cell_involution(c: JordanClass) -> Permutation:
     """The element whose cell meets the class densely: the nested involution
     with two_cycle_cap(c) cycles.  Identity iff the class is central."""
-    return nested_involution(c.n_plus_1, two_cycle_cap(c))
+    return nested_involution(c.n_plus_1, c.cap)
 
 
 def involution_cell_meets(c: JordanClass, w: Permutation) -> bool:
     """Whether the class meets the cell BwB of an involution w: exactly when
     the 2-cycle count of w is at most the cap."""
-    _check_degree(c, w)
     im = w.images
+    if len(im) != c.n_plus_1:
+        _check_degree(c, w)
     count = 0  # the exceedances, which an involution has one per 2-cycle
     for i, j in enumerate(im, 1):
         if im[j - 1] != i:
             raise ValueError(f"{w.cycle_string()} is not an involution")
         if j > i:
             count += 1
-    return count <= two_cycle_cap(c)
+    return count <= c.cap
 
 
 def passes_corank_bound(c: JordanClass, w: Permutation) -> bool:
@@ -266,7 +273,7 @@ def weyl_class_inside(c: JordanClass, lam: Partition) -> bool:
     if lam.weight != c.n_plus_1:
         raise ValueError(f"cycle type has weight {lam.weight}, expected {c.n_plus_1}")
     # dominance_leq(lam, block_sum_partition(c)) with no Partition built
-    return _partial_sums_leq(lam.parts, _block_sums(c))
+    return _partial_sums_leq(lam.parts, c.block_sums)
 
 
 def bruhat_lower_set(c: JordanClass) -> frozenset[Permutation]:
@@ -284,7 +291,7 @@ def bruhat_lower_set(c: JordanClass) -> frozenset[Permutation]:
             "check the opposite cells and the cells below the dense element; its "
             f"scan would read all {scan} permutations"
         )
-    return _lower_set(n_plus_1, two_cycle_cap(c))
+    return _lower_set(n_plus_1, c.cap)
 
 
 @lru_cache(maxsize=None)
@@ -372,7 +379,7 @@ def closure_monotonicity(inner: JordanClass, outer: JordanClass) -> ClosureMonot
         raise ValueError("classes live in different groups")
     # Involutions take each exceedance count 0..floor((n+1)/2), the range of
     # the caps; w_l's largest prefix crossing is l, so w_l <= w_l' iff l <= l'.
-    cap_monotone = two_cycle_cap(inner) <= two_cycle_cap(outer)
+    cap_monotone = inner.cap <= outer.cap
     return ClosureMonotonicity(cap_monotone, cap_monotone, cap_monotone)
 
 
@@ -389,7 +396,7 @@ def format_class_summary(c: JordanClass) -> list[tuple[str, str]]:
     return [
         ("class", f"SL({c.n_plus_1}) {c.describe()}"),
         ("eigenspace corank", str(eigenspace_corank(c))),
-        ("two-cycle cap", str(two_cycle_cap(c))),
+        ("two-cycle cap", str(c.cap)),
         ("block-sum partition", str(block_sum_partition(c))),
         ("dense-cell involution", dense_cell_involution(c).cycle_string()),
         ("central", "yes" if c.is_central else "no"),

@@ -26,6 +26,7 @@ from bruhatcells.conjugacy import enumerate_weyl_group
 from bruhatcells.oracle import (
     COMPLETE_PAIRS,
     DEFAULT_PAIRS,
+    _below_no_cell,
     _orbit_size,
     cell_size_census,
     field_classes,
@@ -34,7 +35,7 @@ from bruhatcells.oracle import (
     validate_class,
 )
 from bruhatcells.partitions import Partition, cycle_type, dominance_leq, partitions_of
-from bruhatcells.permutations import bruhat_leq_perm, involutions
+from bruhatcells.permutations import all_permutations, bruhat_leq_perm, involutions
 from bruhatcells.sl_criteria import abstract_jordan_classes, involution_cell_meets, weyl_class_inside
 
 CLASSIFICATION_TYPES = [
@@ -217,6 +218,28 @@ def test_bruhat_max_equals_the_pairwise_maxima(oracle_tables):
             ]
             want = maxima[0] if len(maxima) == 1 else None
             assert table.bruhat_max == want, (n, q, c.describe())
+
+
+def test_below_no_cell_matches_the_scan_of_every_cell(oracle_tables):
+    """The permutations below no cell, tested against the maximal cells
+    alone, equal those found by testing every cell: for the opposite cells,
+    which the COMPLETE check reads, and for all of S_n, where there are
+    offenders."""
+    offenders = 0
+    for n, q in [(3, 5), (4, 3)]:
+        everything = list(all_permutations(n))
+        for c, table in oracle_tables[(n, q)]:
+            for ws in (table.opposite_cells, everything):
+                want = {
+                    w for w in ws
+                    if not any(bruhat_leq_perm(w, v) for v in table.cells)
+                }
+                offenders += len(want)
+                got = _below_no_cell(ws, table.cells)
+                assert len(got) == len(set(got)) and set(got) == want, (
+                    n, q, c.describe()
+                )
+    announce("below-no-cell-matches-scan", offenders > 0, f"{offenders} offenders")
 
 
 def test_criterion_8_bruhat_engine_cross_validation():

@@ -346,6 +346,15 @@ def test_malformed_class_file_is_usage_error(jordan_file, capsys, payload):
         assert capsys.readouterr().err.startswith("error: "), argv
 
 
+@pytest.mark.parametrize("key", ["n_plus_1", "eigen_data"])
+def test_missing_key_is_named(jordan_file, capsys, key):
+    payload = {k: v for k, v in TRANSVECTION4.items() if k != key}
+    path = jordan_file(payload)
+    for argv in (["query", "--perm", "e"], ["oracle", "--q", "3"], ["hasse"]):
+        assert main([*argv, "--jordan", path]) == 2, argv
+        assert capsys.readouterr().err == f"error: missing key '{key}'\n", argv
+
+
 class TestHasse:
     def test_single_node_for_central(self, jordan_file, capsys):
         path = jordan_file(

@@ -581,6 +581,19 @@ class TestIntersectionTables:
         perms = {Permutation.parse(w, degree) for w in cells}
         assert oracle._bruhat_max(perms) == Permutation.parse(top, degree)
 
+    @given(st.data())
+    def test_maximal_cells_are_the_pairwise_maxima(self, data):
+        n = data.draw(st.integers(1, 5))
+        perms = list(all_permutations(n))
+        cells = data.draw(st.sets(st.sampled_from(perms), min_size=1))
+        maxima = {
+            w for w in cells if not any(v != w and bruhat_leq_perm(w, v) for v in cells)
+        }
+        got = oracle._bruhat_maximal(cells)
+        assert len(got) == len(maxima) and set(got) == maxima
+        unique = oracle._bruhat_max(cells)
+        assert (got == [unique]) if unique is not None else len(got) > 1
+
     def test_table_stable_under_base_change(self):
         base = JordanClass(2, [("d", (1,)), ("e", (1,))], {"d": 2, "e": 3})
         t1 = intersection_table(base, 5)
@@ -1026,6 +1039,25 @@ class TestValidateClass:
         assert validate_class(c, 3, table).passed
         failed = {r.check for r in validate_class(c, 3, doctored).failed()}
         assert "member-classes-inside-opposite" in failed
+
+    def test_an_opposite_cell_below_no_cell_is_caught_whatever_the_maximum(self):
+        # the central class meets only the identity cell; a Bruhat maximum
+        # of w0, no cell, must not hide the opposite cell w0
+        c = JordanClass(3, [("u", (1, 1, 1))], {"u": 1})
+        table = intersection_table(c, 5)
+        w0 = Permutation.longest(3)
+        assert w0 not in table.cells
+        doctored = IntersectionTable(
+            table.jordan,
+            table.p,
+            table.orbit_size,
+            table.cells,
+            table.opposite_cells | {w0},
+            w0,
+        )
+        assert validate_class(c, 5, table).passed
+        failed = {r.check for r in validate_class(c, 5, doctored).failed()}
+        assert "opposite-members-below-some-member" in failed
 
     def test_table_of_another_class_or_prime_is_refused(self):
         central = JordanClass(3, [("x1", (1, 1, 1))], {"x1": 1})

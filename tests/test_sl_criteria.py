@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 
 import pytest
 from hypothesis import assume, given
@@ -486,3 +488,87 @@ class TestMemoisedAgainstPerClass:
                 assert got.dense_elements_comparable == bruhat_leq_perm(
                     dense_cell_involution(inner), dense_cell_involution(outer)
                 )
+
+
+def reference_block_sums(c):
+    """The column-wise sums of the blocks: the t-th adds the t-th block of
+    every label that has one."""
+    width = max(len(e.blocks) for e in c.eigen_data)
+    return tuple(
+        sum(e.blocks[t] for e in c.eigen_data if t < len(e.blocks))
+        for t in range(width)
+    )
+
+
+def reference_cap(c):
+    """n+1 minus the largest block count, capped at floor((n+1)/2)."""
+    n_plus_1 = c.n_plus_1
+    return min(n_plus_1 - max(len(e.blocks) for e in c.eigen_data), n_plus_1 // 2)
+
+
+@st.composite
+def labelled_jordan_classes(draw, max_degree=9):
+    """A Jordan class with drawn labels, in drawn order, and field values."""
+    n = left = draw(st.integers(1, max_degree))
+    shapes = []
+    while left:
+        weight = draw(st.integers(1, left))
+        shapes.append(draw(st.sampled_from(list(partitions_of(weight)))).parts)
+        left -= weight
+    labels = draw(
+        st.lists(st.text(min_size=1, max_size=3), min_size=len(shapes),
+                 max_size=len(shapes), unique=True)
+    )
+    values = draw(st.none() | st.lists(
+        st.integers(-50, 50), min_size=len(shapes), max_size=len(shapes)
+    ))
+    if values is not None:
+        values = dict(zip(labels, values))
+    return JordanClass(n, list(zip(labels, shapes)), values)
+
+
+class TestStoredJordanData:
+    """The cap and block sums a class computes once, against their
+    definitions, and the record's outside unchanged by them."""
+
+    @staticmethod
+    def assert_stored_values_match(c):
+        sums = reference_block_sums(c)
+        assert c.block_sums == sums and type(c.block_sums) is tuple
+        assert c.cap == reference_cap(c)
+        assert two_cycle_cap(c) == c.cap
+        assert block_sum_partition(c) == Partition(sums)
+        assert eigenspace_corank(c) == c.n_plus_1 - len(sums)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_abstract_classes(self, n):
+        for c in abstract_jordan_classes(n):
+            self.assert_stored_values_match(c)
+
+    @given(labelled_jordan_classes())
+    def test_labelled_classes_with_values(self, c):
+        self.assert_stored_values_match(c)
+
+    @given(labelled_jordan_classes())
+    def test_copy_and_pickle_round_trips(self, c):
+        for again in (copy.copy(c), copy.deepcopy(c), pickle.loads(pickle.dumps(c))):
+            assert again == c and hash(again) == hash(c) and repr(again) == repr(c)
+            assert (again.block_sums, again.cap) == (c.block_sums, c.cap)
+
+    @given(labelled_jordan_classes())
+    def test_json_dict_has_only_its_keys(self, c):
+        d = c.to_json_dict()
+        keys = {"n_plus_1", "eigen_data"}
+        if c.values is not None:
+            keys.add("values")
+        assert set(d) == keys
+        assert all(set(e) == {"label", "blocks"} for e in d["eigen_data"])
+        assert JordanClass.from_json_dict(json.loads(json.dumps(d))) == c
+
+    @pytest.mark.parametrize("key", ["n_plus_1", "eigen_data"])
+    def test_missing_key_is_a_value_error_naming_it(self, key):
+        d = TRANSVECTION4.to_json_dict()
+        del d[key]
+        with pytest.raises(ValueError) as err:
+            JordanClass.from_json_dict(d)
+        assert str(err.value) == f"missing key '{key}'"
