@@ -41,8 +41,9 @@ print()
 print("== Bruhat order ==")
 w0 = rs.w0
 below_counts = {}
-for u in enumerate_weyl_group(rs):
-    below = sum(1 for v in enumerate_weyl_group(rs) if bruhat_leq(u, v))
+group = tuple(enumerate_weyl_group(rs))
+for u in group:
+    below = sum(1 for v in group if bruhat_leq(u, v))
     below_counts.setdefault(u.length, []).append(below)
 print("elements above each element, grouped by length:")
 for ell in sorted(below_counts):

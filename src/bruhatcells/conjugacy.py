@@ -4,17 +4,16 @@ The central objects are the elements that are the unique maximal-length
 member of their conjugacy class.  They are classified by subsets J of the
 simple roots satisfying two conditions ("Property (1)" and "Property (2)"
 below); the subset J corresponds to the involution w0 * w0J.  This module
-grows classes one orbit at a time and keeps each as its size and extremal
-strata, computes those sets, carries the per-family catalog of classifying
-subsets and walks its involutions on simple-root images, with no root
-system, and bundles the exhaustive verification suites that check the
-classification and its corollaries.
+grows classes one orbit at a time from parabolic seeds, never walking W,
+keeps each as its size and extremal strata, computes those sets, carries
+the per-family catalog of classifying subsets and walks its involutions
+on simple-root images, with no root system, and bundles the exhaustive
+verification suites that check the classification and its corollaries.
 """
 
 from __future__ import annotations
 
-import os
-from itertools import islice
+from itertools import chain, islice, repeat
 from operator import attrgetter
 
 from ._record import Record
@@ -66,14 +65,6 @@ __all__ = [
 ]
 
 STRONG_CONJ_LIMIT = 10**4
-# Peak bytes that enumerate_weyl_group holds per element: a fixed part plus
-# one byte of perm per root.  tracemalloc peaks per element, with each
-# frontier also sorted by rows: 264.2 over W(D6) (60 roots), 221.5 over W(E6)
-# (72), 424.9 over the first 235,088 elements of W(E7) (126).  The line
-# passes through D6 and E7 and above E6; without the sort the peaks are
-# lower (256.6 for D6, 218.1 for E6), so it is an upper bound.
-ENUMERATION_BYTES_PER_ELEMENT = 118
-ENUMERATION_BYTES_PER_ROOT = 2.44
 # CPU seconds per walk step and coordinate of a catalog: above the largest
 # ratio of CPU time to (entries + 1) * N * rank on B, C and D of rank 20-60,
 # 131-274 ns (three runs each, 2 vCPUs, Python 3.11).  Type A prints cycles
@@ -82,63 +73,32 @@ _CATALOG_STEP_S = 3.0e-7
 _CATALOG_LIMIT_S = 5.0
 
 
-def _physical_mb() -> float | None:
-    try:
-        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") / 2**20
-    except (AttributeError, ValueError, OSError):
-        return None
+def _order_guard(t: CartanType, limit: int = ENUMERATION_LIMIT, lift: str = ""):
+    """Refuse more than limit elements; lift names the override, if any."""
+    if t.weyl_order > limit:
+        raise GuardError(f"|W({t})| = {t.weyl_order} exceeds {limit}{lift}")
 
 
-def _order_guard(t: CartanType, allow_large: bool, limit: int = ENUMERATION_LIMIT):
-    """Refuse Weyl groups with more than limit elements unless allow_large."""
-    order = t.weyl_order
-    if order > limit and not allow_large:
-        raise GuardError(
-            f"|W({t})| = {order} exceeds {limit}; lift this limit with "
-            "allow_large=True (CLI: --checks ascent --allow-large)"
+_LIFT = "; lift this limit with allow_large=True"
+
+
+def enumerate_weyl_group(rs: RootSystem):
+    """All Weyl group elements by length, breadth first, one length layer in
+    memory at a time; the guard runs at the call.  w * s, s not a right
+    descent of w, is one longer than w, so a layer meets no earlier one."""
+    _order_guard(rs.cartan_type)
+    return _length_layers(rs)
+
+
+def _length_layers(rs: RootSystem):
+    right, simple, npos = rs._right, tuple(enumerate(rs.simple_index)), rs.npos
+    layer, ell = [rs.identity.perm], 0
+    while layer:
+        yield from (WeylElement(rs, p, ell) for p in layer)
+        layer = dict.fromkeys(
+            right(p, i) for p in layer for i, k in simple if p[k] >= npos
         )
-
-
-def enumerate_weyl_group(rs: RootSystem, allow_large: bool = False):
-    """All Weyl group elements, in breadth-first order by length (cached).
-
-    Past the order guard, it refuses a group whose estimated memory exceeds
-    the physical memory, even with allow_large.
-    """
-    t = rs.cartan_type
-    _order_guard(t, allow_large)
-    per_element = (
-        ENUMERATION_BYTES_PER_ELEMENT + ENUMERATION_BYTES_PER_ROOT * len(rs.roots)
-    )
-    need = t.weyl_order * per_element / 2**20
-    have = _physical_mb()
-    if have is not None and need > have:
-        raise GuardError(
-            f"enumerating the {t.weyl_order} elements of W({t}) "
-            f"needs about {need:,.0f} MB, more than the {have:,.0f} MB "
-            "of physical memory; refused even with allow_large"
-        )
-    cached = rs._memo.get("all_elements")
-    if cached is None:
-        right, simple, npos = rs._right, tuple(enumerate(rs.simple_index)), rs.npos
-        frontier = [rs.identity.perm]
-        seen = set(frontier)
-        out = [rs.identity]
-        ell = 0
-        while frontier:
-            nxt = []
-            for p in frontier:
-                for i, k in simple:
-                    if p[k] >= npos:
-                        q = right(p, i)
-                        if q not in seen:
-                            seen.add(q)
-                            nxt.append(q)
-            ell += 1
-            out.extend(WeylElement(rs, q, ell) for q in nxt)
-            frontier = nxt
-        cached = rs._memo["all_elements"] = tuple(out)
-    return cached
+        ell += 1
 
 
 class ConjugacyClass(Record):
@@ -207,7 +167,8 @@ def _materialize(rs: RootSystem, perms):
 
 def conjugacy_class(w: WeylElement, allow_large: bool = False) -> ConjugacyClass:
     """Orbit of w under conjugation, grown by the simple-reflection generators."""
-    _order_guard(w.rs.cartan_type, allow_large)
+    if not allow_large:
+        _order_guard(w.rs.cartan_type, lift=_LIFT)
     return ConjugacyClass(w, *_materialize(w.rs, _orbit(w.rs, w)))
 
 
@@ -226,7 +187,8 @@ def twisted_class(w: WeylElement, delta, allow_large: bool = False) -> Conjugacy
     delta = tuple(delta)
     if not is_diagram_automorphism(rs, delta):
         raise ValueError(f"{delta} is not a diagram automorphism of {rs.cartan_type}")
-    _order_guard(rs.cartan_type, allow_large)
+    if not allow_large:
+        _order_guard(rs.cartan_type, lift=_LIFT)
     return ConjugacyClass(w, *_materialize(rs, _orbit(rs, w, delta)), delta)
 
 
@@ -255,13 +217,52 @@ def _subsets(n: int):
     return (frozenset(i + 1 for i in range(n) if m >> i & 1) for m in range(1 << n))
 
 
-def conjugacy_classes(rs: RootSystem, allow_large: bool = False):
-    """All conjugacy classes of the Weyl group."""
-    _order_guard(rs.cartan_type, allow_large)
+def _powers(rs: RootSystem, c):
+    """c, c^2, ... short of the identity, for the perm c."""
+    p = c
+    while p != rs.identity.perm:
+        yield p
+        p = rs._mul(p, c)
+
+
+def _parabolic_seeds(rs: RootSystem) -> list[WeylElement]:
+    """Distinct seeds from the parabolic subgroups W_J, with c_J the product
+    of the s_j, j in J, in index order: each w0J, the powers of each c_J,
+    and w0J*c_K, w0J*w0K, c_J*c_K and w0J*c_K^2 over all J and K (B7, D8 and
+    E7 fall short without w0J*w0K and w0J*c_K^2).  Minimal-length elements
+    are cuspidal in some W_J (Geck-Pfeiffer 2000, ch. 3).  Each left factor
+    p has its table p + pad, which ``rs._mul`` builds per product, once."""
+    w0s = [longest_element(rs, J).perm for J in _subsets(rs.rank)]
+    cs = [rs.identity.perm]
+    for m in range(1, len(w0s)):  # c_J = c_(J - {j}) * s_j, j = max J
+        j = m.bit_length() - 1
+        cs.append(rs._right(cs[m ^ 1 << j], j))
+    right_of_w0 = list(dict.fromkeys(cs + w0s + [rs._mul(c, c) for c in cs]))
+    involutions = set(w0s)  # c_J = w0J when J has no edge
+    pairs = [(w0, right_of_w0) for w0 in w0s]
+    pairs += [(c, cs) for c in cs if c not in involutions]
+    pad = bytes(256 - 2 * rs.npos)
+    products = (map(bytes.translate, q, repeat(p + pad)) for p, q in pairs)
+    powers = (_powers(rs, c) for c in cs if c not in involutions)
+    seeds = dict.fromkeys(chain(w0s, *powers, *products))
+    return [WeylElement(rs, p) for p in seeds]
+
+
+def conjugacy_classes(rs: RootSystem):
+    """All conjugacy classes of the Weyl group, grown from parabolic seeds.
+    Classes are disjoint, so sizes that sum to |W| show that none is missed."""
+    t = rs.cartan_type
+    _order_guard(t)
     cached = rs._memo.get("conj_classes")
     if cached is None:
-        seeds = enumerate_weyl_group(rs, allow_large)
-        cached = rs._memo["conj_classes"] = _classes(rs, seeds)
+        cached = _classes(rs, _parabolic_seeds(rs))
+        reached = sum(map(len, cached))
+        if reached != t.weyl_order:
+            raise GuardError(
+                f"parabolic seeds reach {reached} of the {t.weyl_order} "
+                f"elements of W({t})"
+            )
+        rs._memo["conj_classes"] = cached
     return cached
 
 
@@ -768,11 +769,15 @@ def verify_ascent_classes(t, allow_large: bool = False) -> Report:
     centralizer for 3 of the 25 classes of W(E6).  Classes are reported in
     the order of their labels, their row-smallest members.
 
-    The classes come from the whole group, so it refuses Weyl groups with
-    more than STRONG_CONJ_LIMIT elements unless allow_large is set.
+    It refuses more than STRONG_CONJ_LIMIT elements unless allow_large is
+    set, and more than ENUMERATION_LIMIT (in ``conjugacy_classes`` under
+    allow_large) even then, so a refusal names a flag only if it helps.
     """
     t = _coerce_type(t)
-    _order_guard(t, allow_large, STRONG_CONJ_LIMIT)
+    if not allow_large:
+        _order_guard(t)
+        cli = " (CLI: --checks ascent --allow-large)"
+        _order_guard(t, STRONG_CONJ_LIMIT, _LIFT + cli)
     rs = build_root_system(t)
     rep = Report(f"ascent suite {rs.cartan_type}")
     subject = str(rs.cartan_type)
@@ -782,7 +787,7 @@ def verify_ascent_classes(t, allow_large: bool = False) -> Report:
         return tuple(zip(*(roots[p[k]] for k in simple)))
 
     checked = {}
-    for c in conjugacy_classes(rs, allow_large):
+    for c in conjugacy_classes(rs):
         # reverse closure: which elements reach the maximal stratum by ascents
         reached = {w.perm for w in c.max_length}
         frontier = [(w.perm, w.length) for w in c.max_length]

@@ -55,7 +55,7 @@ __all__ = [
     "ENUMERATION_LIMIT",
 ]
 
-# Full-group enumerations refuse anything larger unless allow_large is set.
+# A |W| ceiling that no flag lifts for enumerate_weyl_group and conjugacy_classes.
 ENUMERATION_LIMIT = 10**7
 # The involution side never walks W.  `bruhatcells verify` takes 1.3-1.7 s of CPU
 # and 35 MB at B9 and C9, and 1.5-2.2 s and 54 MB at E8 (2 vCPUs, Python 3.11).

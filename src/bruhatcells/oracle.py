@@ -797,12 +797,6 @@ def _class_size(lengths: tuple[int, ...]) -> int:
     return size
 
 
-def _whole_classes(ws) -> set[tuple[int, ...]]:
-    """The cycle lengths of the S_n classes that lie wholly inside the set
-    ws of permutations: those of which ws holds all n!/z members."""
-    return _whole_types(w.cycle_lengths() for w in ws)
-
-
 def _whole_types(lengths) -> set[tuple[int, ...]]:
     """The cycle lengths that occur in lengths, the cycle lengths of a set
     of permutations, once for each member of their S_n class."""

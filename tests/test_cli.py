@@ -181,7 +181,7 @@ class TestVerify:
         assert main(args) == 0
         assert "subset conjugacy A7" in capsys.readouterr().out
 
-    def test_e8_enumeration_refused_by_memory_guard(self, capsys, monkeypatch):
+    def test_e8_ascent_refused_by_order_ceiling(self, capsys, monkeypatch):
         def no_enumeration(*args, **kwargs):
             raise AssertionError("the enumeration of W(E8) started")
 
@@ -190,9 +190,9 @@ class TestVerify:
         args = ["verify", "--type", "E8", "--checks", "ascent", "--allow-large"]
         assert main(args) == 2
         err = capsys.readouterr().err
-        assert "696729600 elements" in err
-        assert re.search(r"about [\d,]+ MB", err)
-        assert "all_elements" not in build_root_system("E8")._memo
+        assert "|W(E8)| = 696729600 exceeds 10000000" in err
+        # no flag lifts the ceiling, so none is suggested
+        assert "allow" not in err
 
     def test_e7_runs_every_suite_but_ascent(self, capsys):
         assert main(["verify", "--type", "E7", "--format", "json"]) == 0

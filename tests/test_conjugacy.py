@@ -1,5 +1,6 @@
 import tracemalloc
 from functools import lru_cache
+from itertools import islice
 
 import pytest
 from hypothesis import assume, given
@@ -64,6 +65,10 @@ def members(c):
 def max_length_involutions(rs):
     """The maximal-length members, unique or not, of the involution classes."""
     return {m for c in involution_classes(rs) for m in c.max_length}
+
+
+def _no_enumeration(rs):
+    raise AssertionError(f"W({rs.cartan_type}) was enumerated")
 
 
 class TestConjugacyClasses:
@@ -138,6 +143,19 @@ class TestConjugacyClasses:
         with pytest.raises(GuardError):
             conjugacy_class(rs.identity)
 
+    def test_library_refusals_name_the_keyword_only(self):
+        # no command-line path reaches these two, so they name no flag
+        rs = build_root_system("E8")
+        delta = tuple(range(1, 9))
+        for refuse in (lambda: conjugacy_class(rs.identity),
+                       lambda: twisted_class(rs.identity, delta)):
+            with pytest.raises(GuardError) as caught:
+                refuse()
+            assert str(caught.value) == (
+                "|W(E8)| = 696729600 exceeds 10000000; "
+                "lift this limit with allow_large=True"
+            )
+
     def test_e8_class_orbit_mode(self):
         # cost is proportional to the class, so E8 works under the override
         rs = build_root_system("E8")
@@ -152,11 +170,74 @@ class TestConjugacyClasses:
         assert frozenset(range(1, 8)) in catalog_subsets("E8")
 
 
+def _breadth_first(rs):
+    """The elements of W in the order of a breadth-first walk by right
+    multiplication with the non-descents, one visited set over all of W."""
+    right, npos = rs._right, rs.npos
+    frontier = [rs.identity.perm]
+    seen = set(frontier)
+    out = list(frontier)
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for i, k in enumerate(rs.simple_index):
+                if p[k] >= npos:
+                    q = right(p, i)
+                    if q not in seen:
+                        seen.add(q)
+                        nxt.append(q)
+        out.extend(nxt)
+        frontier = nxt
+    return out
+
+
+class TestParabolicSeeds:
+    """``conjugacy_classes`` grows its classes from parabolic seeds and
+    checks by counting that they cover W."""
+
+    @pytest.mark.parametrize(
+        "name",
+        ["A1", "A2", "A3", "A4", "A5", "A6", "A7", "B2", "B3", "B4", "B5", "C2",
+         "C3", "C4", "C5", "C6", "D4", "D5", "D6", "E6", "F4", "G2"],
+    )
+    def test_matches_whole_group_reference(self, name):
+        # fresh root systems, so no memo is shared
+        rs = RootSystem(CartanType.from_string(name))
+        reference = _classes(rs, tuple(enumerate_weyl_group(rs)))
+        assert conjugacy_classes(RootSystem(CartanType.from_string(name))) == reference
+
+    def test_missing_seed_family_is_a_shortfall(self, monkeypatch):
+        # without the powers of c_J, F4 misses 12 of its 1152 elements
+        monkeypatch.setattr(conjugacy, "_powers", lambda rs, c: ())
+        rs = RootSystem(CartanType("F", 4))
+        shortfall = r"reach 1140 of the 1152 elements of W\(F4\)$"
+        with pytest.raises(GuardError, match=shortfall):
+            conjugacy_classes(rs)
+        assert "conj_classes" not in rs._memo
+
+    def test_e6_never_enumerates(self, monkeypatch):
+        monkeypatch.setattr(conjugacy, "enumerate_weyl_group", _no_enumeration)
+        classes = conjugacy_classes(RootSystem(CartanType("E", 6)))
+        assert (len(classes), sum(map(len, classes))) == (25, 51840)
+
+    @pytest.mark.parametrize("name", ["A1", "A4", "B3", "D4", "G2", "F4", "E6"])
+    def test_enumeration_order_is_breadth_first(self, name):
+        rs = RootSystem(CartanType.from_string(name))
+        walked = list(enumerate_weyl_group(rs))
+        assert [w.perm for w in walked] == _breadth_first(rs)
+        assert all(w.length == rs._length(w.perm) for w in walked)
+
+    def test_enumeration_holds_no_memo(self):
+        rs = RootSystem(CartanType("B", 3))
+        assert len(list(enumerate_weyl_group(rs))) == 48
+        assert rs._memo == {}
+
+
 class TestTwistedClasses:
     def test_identity_twist_matches_plain_conjugacy(self):
         rs = build_root_system("B3")
         ident = tuple(range(1, rs.rank + 1))
-        for w in enumerate_weyl_group(rs)[::7]:
+        for w in islice(enumerate_weyl_group(rs), 0, None, 7):
             assert members(twisted_class(w, ident)) == members(conjugacy_class(w))
 
     def test_b3_delta0_is_identity_twist(self):
@@ -319,11 +400,11 @@ class TestInvolutionClasses:
         assert sum(map(len, classes)) == 32400
         assert held <= 2**20
 
-    def test_group_is_not_enumerated(self):
+    def test_group_is_not_enumerated(self, monkeypatch):
+        monkeypatch.setattr(conjugacy, "enumerate_weyl_group", _no_enumeration)
         rs = RootSystem(CartanType("E", 6))
         classes = involution_classes(rs)
         assert sum(len(c) for c in classes) == 892
-        assert "all_elements" not in rs._memo
 
     def test_rank_guard(self):
         # the classes are grown from 2^rank seeds; E8 is admitted, rank 10 not
@@ -389,7 +470,6 @@ class TestClimb:
 @pytest.mark.parametrize(
     "function,key,name,refusal",
     [
-        (enumerate_weyl_group, "all_elements", "E8", "696729600"),
         (conjugacy_classes, "conj_classes", "E8", "696729600"),
         (involution_classes, "inv_classes", "A10", "rank 10 > 9"),
         (subsets_with_property_one, "subsets", "A10", "rank 10 > 9"),
@@ -400,11 +480,19 @@ def test_guard_verdict_does_not_depend_on_the_memo(function, key, name, refusal)
     rs = RootSystem(CartanType.from_string(name))
     with pytest.raises(GuardError, match=refusal):
         function(rs)
-    # a warm memo, as a run with allow_large=True leaves it, must not get
-    # past the guard
+    # a warm memo must not get past the guard
     rs._memo[key] = ()
     with pytest.raises(GuardError, match=refusal):
         function(rs)
+
+
+@pytest.mark.parametrize("name", ["E8", "B8", "C8", "A10"])
+@pytest.mark.parametrize("allow_large", [False, True])
+def test_ascent_past_the_ceiling_is_refused_naming_no_flag(name, allow_large):
+    order = CartanType.from_string(name).weyl_order
+    with pytest.raises(GuardError) as caught:
+        verify_ascent_classes(name, allow_large=allow_large)
+    assert str(caught.value) == f"|W({name})| = {order} exceeds 10000000"
 
 
 class TestMaximalSets:
@@ -762,4 +850,4 @@ class TestStableSubsetClasses:
         label = _stable_subset_classes(rs)
         assert len(label) == subsets
         assert len(set(label.values())) == classes
-        assert "all_elements" not in rs._memo and "inv_classes" not in rs._memo
+        assert "inv_classes" not in rs._memo

@@ -1078,7 +1078,7 @@ class TestValidateClass:
 @functools.lru_cache(maxsize=None)
 def cycle_type_classes(n):
     """S_n grouped by cycle lengths, fixed points included, read off the
-    nontrivial cycles: the whole-group reference for ``_whole_classes``."""
+    nontrivial cycles: the whole-group reference for ``_whole_types``."""
     out = collections.defaultdict(set)
     for w in all_permutations(n):
         lengths = [len(cyc) for cyc in w.cycles()]
@@ -1099,7 +1099,7 @@ class TestWholeClasses:
         added = data.draw(st.sets(st.sampled_from(perms), max_size=20))
         ws = set().union(*(classes[lam] for lam in chosen)) - dropped | added
         expected = {lam for lam, members in classes.items() if members <= ws}
-        assert oracle._whole_classes(ws) == expected
+        assert oracle._whole_types(w.cycle_lengths() for w in ws) == expected
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_class_sizes_sum_to_the_group_order(self, n):

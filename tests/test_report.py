@@ -52,11 +52,11 @@ print(conjugacy.verify_unique_max_classification("E6").to_text())
     "ascent": """
 from bruhatcells import conjugacy
 classes = conjugacy.conjugacy_classes
-conjugacy.conjugacy_classes = lambda rs, allow_large=False: [
+conjugacy.conjugacy_classes = lambda rs: [
     conjugacy.ConjugacyClass(
         c.representative, len(c), c.min_length, c.min_length, c.delta
     )
-    for c in classes(rs, allow_large)
+    for c in classes(rs)
 ]
 conjugacy._strong_component = lambda rs, stratum: {stratum[0]}
 print(conjugacy.verify_ascent_classes("B3").to_text())

@@ -47,7 +47,7 @@ def _strong_conj_neighbors(u, group, inverses):
 
 
 def _reference(rs):
-    group = enumerate_weyl_group(rs)
+    group = tuple(enumerate_weyl_group(rs))
     return group, {w.perm: w.inv() for w in group}
 
 
