@@ -13,7 +13,7 @@ verification suites that check the classification and its corollaries.
 
 from __future__ import annotations
 
-from itertools import chain, islice, repeat
+from itertools import chain, repeat
 from operator import attrgetter
 
 from ._record import Record
@@ -318,108 +318,43 @@ def unique_max_involutions(rs: RootSystem) -> MaximalSet:
     return cached
 
 
-def _conjugator_cosets(rs: RootSystem, u0):
-    """A transversal of u0's class and the centralizer C_W(u0), as perms.
-
-    ``t[v] * u0 * t[v]^-1 = v``, set by t[s v s] = s * t[v].  The Schreier
-    generators t[s v s]^-1 * s * t[v] not yet in the subgroup are added, and
-    it is closed under right multiplication by them, until it has |W| /
-    |class| elements.  The conjugators taking u to v are t[v] * C * t[u]^-1.
-    """
-    mul, conj, inverse = rs._mul, rs._conj, rs._inverse
-    simple = [s.perm for s in rs.simple_reflections]
-    identity = rs.identity.perm
-    t = {u0: identity}
-    frontier = [u0]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for i, s in enumerate(simple):
-                w = conj(v, i, i)
-                if w not in t:
-                    t[w] = mul(s, t[v])
-                    nxt.append(w)
-        frontier = nxt
-    order = rs.cartan_type.weyl_order // len(t)
-    centralizer = [identity]
-    members = {identity}
-    generators = []
-    for v, tv in t.items():
-        if len(centralizer) == order:
-            break
-        for i, s in enumerate(simple):
-            g = mul(inverse(t[conj(v, i, i)]), mul(s, tv))
-            if g in members:
-                continue
-            generators.append(g)
-            todo = [mul(c, g) for c in centralizer]
-            while todo:
-                c = todo.pop()
-                if c not in members:
-                    members.add(c)
-                    centralizer.append(c)
-                    todo.extend(mul(c, h) for h in generators)
-    return t, centralizer
-
-
-def _strongly_linked(rs: RootSystem, t, centralizer, u, v) -> bool:
-    """Whether some x in t[v] * C * t[u]^-1, the conjugators taking u to v,
-    is a strong conjugation step: l(u) = l(x*u) + l(x) or l(u) = l(x) +
-    l(u*x^-1).  Here l(u*x^-1) = l(x*u^-1), and with y = t[v] * c the three
-    products are y times t[u]^-1, t[u]^-1 * u and t[u]^-1 * u^-1."""
-    mul, length, inverse = rs._mul, rs._length, rs._inverse
-    lu = length(u)
-    tu_inv = inverse(t[u])
-    right_u = mul(tu_inv, u)
-    right_u_inv = mul(tu_inv, inverse(u))
-    tv = t[v]
-    for c in centralizer:
-        y = mul(tv, c)
-        lx = length(mul(y, tu_inv))
-        if lu == length(mul(y, right_u)) + lx or lu == lx + length(
-            mul(y, right_u_inv)
-        ):
-            return True
-    return False
+def _rotations(rs: RootSystem, u):
+    """The rotations b * a = a^-1 * u * a of u = a * b, l(u) = l(a) + l(b),
+    over the prefixes a of u, its lower interval in the right weak order,
+    walked down the right descents one length at a time."""
+    mul, inverse, right, npos = rs._mul, rs._inverse, rs._right, rs.npos
+    simple = tuple(enumerate(rs.simple_index))
+    level = [u]
+    while level:
+        for a in level:
+            yield mul(mul(inverse(a), u), a)
+        level = dict.fromkeys(
+            right(a, i) for a in level for i, k in simple if a[k] < npos
+        )
 
 
 def _strong_component(rs: RootSystem, stratum) -> set:
     """The perms that strong-conjugation chains link to u0 = stratum[0],
     within stratum, the perms of u0's class with u0's length.
 
-    A shift v = s*u*s != u, s simple, in the stratum is a strong step
-    (Geck-Pfeiffer, Characters of Finite Coxeter Groups and Iwahori-Hecke
-    Algebras, 2000, §3.2): were l(s*u) = l(u*s) = l(u) + 1, the exchange
-    condition would delete a letter of u's word from s*u*s, making u*s
-    shorter than u, or give v = u.  The walk takes the shifts from each
-    reached perm; only if perms stay unseen is C_W(u0) built, and reached
-    perms are tested in order against each unseen v, taking the shifts from
-    v after each link.  A strong step's inverse steps back, so no other
-    perm is linked.
+    A strong step from u is v = x*u*x^-1 with l(u) = l(x*u) + l(x) or l(u)
+    = l(x) + l(u*x^-1) (Geck-Pfeiffer, Characters of Finite Coxeter Groups
+    and Iwahori-Hecke Algebras, 2000, §3.2).  Either way u = a*b with l(u)
+    = l(a) + l(b) and v = b*a, taking a = x^-1 or a = u*x^-1, and every
+    prefix a of u gives such an x; so the steps within the stratum are
+    exactly the rotations of u that it holds.  Then b is a prefix of v and
+    u = a*b a rotation of v: a step's inverse steps back, so no other perm
+    is linked.
     """
-    conj, ranks = rs._conj, range(rs.rank)
     reached = [stratum[0]]
     unseen = set(stratum[1:])
-
-    def shifts(start):
-        for u in islice(reached, start, None):
-            for i in ranks:
-                v = conj(u, i, i)
-                if v in unseen:
-                    unseen.discard(v)
-                    reached.append(v)
-
-    shifts(0)
-    if unseen:
-        t, centralizer = _conjugator_cosets(rs, stratum[0])
-        for u in reached:
+    for u in reached:
+        for v in _rotations(rs, u):
             if not unseen:
-                break
-            for v in stratum:
-                if v in unseen and _strongly_linked(rs, t, centralizer, u, v):
-                    unseen.discard(v)
-                    reached.append(v)
-                    shifts(len(reached) - 1)
+                return set(reached)
+            if v in unseen:
+                unseen.discard(v)
+                reached.append(v)
     return set(reached)
 
 
@@ -765,9 +700,10 @@ def verify_ascent_classes(t, allow_large: bool = False) -> Report:
 
     The first holds when the reverse closure of the maxima has as many
     perms as the class; a class that fails is grown again to name the rest.
-    The maxima are linked by ``_strong_component``, which builds a
-    centralizer for 3 of the 25 classes of W(E6).  Classes are reported in
-    the order of their labels, their row-smallest members.
+    The maxima are linked by ``_strong_component``, which walks the
+    rotations of reduced factorizations, exactly the strong steps, so a
+    failure means that maxima are not linked.  Classes are reported in the
+    order of their labels, their row-smallest members.
 
     It refuses more than STRONG_CONJ_LIMIT elements unless allow_large is
     set, and more than ENUMERATION_LIMIT (in ``conjugacy_classes`` under

@@ -11,12 +11,11 @@ from bruhatcells.conjugacy import (
     _catalog_entries,
     _classes,
     _climb,
-    _conjugator_cosets,
     _fmt,
     _orbit,
+    _rotations,
     _stable_subset_classes,
     _strong_component,
-    _strongly_linked,
     catalog_subsets,
     classifying_subsets,
     conjugacy_class,
@@ -331,16 +330,17 @@ class TestAscent:
 
 def same_length_stratum(rs, u):
     """u, then the other members of its class with its length."""
-    t = _conjugator_cosets(rs, u)[0]
-    return [u] + [v for v in t if v != u and rs._length(v) == rs._length(u)]
+    orbit = _orbit(rs, WeylElement(rs, u))
+    return [u] + [v for v in orbit if v != u and rs._length(v) == rs._length(u)]
 
 
 class TestStrongConjugation:
     def test_reflexive_via_identity(self):
+        # the prefix a = e rotates u to itself
         rs = build_root_system("A2")
         s1 = simple_reflection(rs, 1).perm
-        t, centralizer = _conjugator_cosets(rs, s1)
-        assert _strongly_linked(rs, t, centralizer, s1, s1)
+        assert s1 in set(_rotations(rs, s1))
+        assert _strong_component(rs, [s1]) == {s1}
 
     def test_length_mismatch_fails(self):
         rs = build_root_system("A2")
@@ -705,15 +705,13 @@ class TestVerificationSuites:
     )
     def test_symmetric_elements_are_the_centralizer_of_w0(self, name, proper):
         # the -w0-symmetric elements, w0*x*w0 = x, that the reference of
-        # TestStableSubsetClasses maps J with; a proper subgroup exactly
-        # when w0 is not -1
+        # TestStableSubsetClasses maps J with, are the centralizer of w0:
+        # |C_W(w0)| * |class of w0| = |W|; a proper subgroup exactly when
+        # w0 is not -1
         rs = RootSystem(CartanType.from_string(name))
-        w0, mul = rs.w0.perm, rs._mul
         group = {w.perm for w in enumerate_weyl_group(rs)}
-        symmetric = {p for p in group if mul(mul(w0, p), w0) == p}
-        centralizer = _conjugator_cosets(rs, w0)[1]
-        assert len(centralizer) == len(symmetric)
-        assert set(centralizer) == symmetric
+        symmetric = _symmetric(rs, group)
+        assert len(symmetric) * len(_orbit(rs, rs.w0)) == len(group)
         assert (symmetric < group) == proper
 
     def test_subset_conjugacy_identity_pairs(self):
@@ -794,12 +792,18 @@ def stable_subsets(draw, rs):
     return frozenset().union(*(O for O, pick in zip(orbits, picks) if pick))
 
 
+def _symmetric(rs, group):
+    """The perms p of group with w0 * p * w0 = p."""
+    w0, mul = rs.w0.perm, rs._mul
+    return {p for p in group if mul(mul(w0, p), w0) == p}
+
+
 @lru_cache(maxsize=None)
 def _symmetric_images(name):
     """J -> the sets of root indices that the -w0-symmetric elements, taken
-    as the centralizer C_W(w0), map the simple roots of J onto."""
+    from all of W, map the simple roots of J onto."""
     rs = build_root_system(name)
-    symmetric = _conjugator_cosets(rs, rs.w0.perm)[1]
+    symmetric = _symmetric(rs, (w.perm for w in enumerate_weyl_group(rs)))
     simple = rs.simple_index
     return {
         J: {frozenset(p[simple[j - 1]] for j in J) for p in symmetric}

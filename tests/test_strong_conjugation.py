@@ -1,26 +1,23 @@
-"""Strong conjugation over cyclic shifts and conjugator cosets against a
+"""Strong conjugation by rotations of reduced factorizations against a
 whole-group scan.
 
 The library links a stratum in one walk (``conjugacy._strong_component``):
-it takes equal-length cyclic shifts, each a strong step, and only where
-perms stay unseen finds the conjugators taking u to v as the coset
-t_v C t_u^-1 of the centralizer C = C_W(u0)
-(``conjugacy._conjugator_cosets``).  The reference below is the direct
-definition: every element x of W is tried as a conjugator.  It is
-exhaustive and only feasible for small groups.
+from each reached u it takes the rotations b*a = a^-1*u*a of u = a*b, l(u)
+= l(a) + l(b), over the prefixes a of u (``conjugacy._rotations``), which
+are exactly the strong steps from u.  A cyclic shift s*u*s is the rotation
+by a prefix of length 1.  The reference below is the direct definition:
+every element x of W is tried as a conjugator.  It is exhaustive and only
+feasible for small groups.
 """
 
 import pytest
 
-from bruhatcells import conjugacy
 from bruhatcells.conjugacy import (
-    _conjugator_cosets,
     _orbit,
+    _rotations,
     _strong_component,
-    _strongly_linked,
     conjugacy_classes,
     enumerate_weyl_group,
-    verify_ascent_classes,
 )
 from bruhatcells.coxeter import WeylElement, build_root_system
 
@@ -64,38 +61,15 @@ def _reference_strongly_conjugate(w, w2, group, inverses):
 
 
 @pytest.mark.parametrize("name", EDGE_TYPES)
-def test_transversal_centralizer_and_orbit_stabilizer(name):
-    rs = build_root_system(name)
-    mul, inverse = rs._mul, rs._inverse
-    order = rs.cartan_type.weyl_order
-    for c in conjugacy_classes(rs):
-        u0 = c.max_length[0].perm
-        t, centralizer = _conjugator_cosets(rs, u0)
-        assert set(t) == _orbit(rs, c.representative)
-        for v, tv in t.items():
-            assert mul(mul(tv, u0), inverse(tv)) == v
-        for x in centralizer:
-            assert mul(x, u0) == mul(u0, x)
-        assert len(set(centralizer)) == len(centralizer)
-        assert len(t) * len(centralizer) == order
-
-
-@pytest.mark.parametrize("name", EDGE_TYPES)
-def test_coset_edges_equal_whole_group_edges(name):
+def test_rotations_equal_whole_group_strong_steps(name):
     rs = build_root_system(name)
     group, inverses = _reference(rs)
-    for c in conjugacy_classes(rs):
-        stratum = {w.perm for w in c.max_length}
-        t, centralizer = _conjugator_cosets(rs, c.max_length[0].perm)
-        for u in c.max_length:
-            ref = {v.perm for v in _strong_conj_neighbors(u, group, inverses)}
-            # x = e always links u to itself
-            assert u.perm in ref
-            ref &= stratum
-            got = {
-                v for v in stratum if _strongly_linked(rs, t, centralizer, u.perm, v)
-            }
-            assert got == ref, (name, c.representative, u)
+    for u in group:
+        got = {v for v in _rotations(rs, u.perm) if rs._length(v) == u.length}
+        ref = {v.perm for v in _strong_conj_neighbors(u, group, inverses)}
+        # the prefix a = e links u to itself
+        assert u.perm in got
+        assert got == ref, (name, u)
 
 
 @pytest.mark.parametrize("name", sorted(CONJUGATE_PAIRS))
@@ -122,21 +96,8 @@ def test_strongly_conjugate_matches_whole_group_search(name):
                 linked += want
     # in A3, B3, C3 and D4 both answers occur, so the comparison is not
     # vacuous; shifts leave 21 strata of D4 in two to four components, so
-    # there the reference also checks the centralizer join
+    # there the reference also checks the longer rotations that join them
     assert (checked, linked) == CONJUGATE_PAIRS[name]
-
-
-def _count_cosets(monkeypatch):
-    """Count the calls of ``_conjugator_cosets``, i.e. centralizer builds."""
-    calls = []
-    build = conjugacy._conjugator_cosets
-
-    def counted(rs, u0):
-        calls.append(u0)
-        return build(rs, u0)
-
-    monkeypatch.setattr(conjugacy, "_conjugator_cosets", counted)
-    return calls
 
 
 def _shift_edge(rs, u, v):
@@ -149,21 +110,6 @@ def _shift_edge(rs, u, v):
         and lu - 1 in (length(mul(s.perm, u)), length(mul(u, s.perm)))
         for i, s in enumerate(rs.simple_reflections)
     )
-
-
-def test_centralizers_only_where_shifts_leave_several_components(monkeypatch):
-    # the types of the benchmark's verify workload; E6 is pinned in
-    # tests/test_acceptance.py, which runs its ascent suite anyway
-    calls = _count_cosets(monkeypatch)
-    per_type = {}
-    for name in ("A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4",
-                 "D4", "G2"):
-        before = len(calls)
-        assert verify_ascent_classes(name).passed
-        per_type[name] = len(calls) - before
-    assert sum(per_type.values()) == 10, per_type
-    assert per_type == {**dict.fromkeys(per_type, 0), "B3": 1, "B4": 3,
-                        "C3": 1, "C4": 3, "D4": 2}
 
 
 @pytest.mark.parametrize("name", EDGE_TYPES)
@@ -196,7 +142,7 @@ def _shift_split(rs, stratum):
     return components
 
 
-def test_cosets_join_the_shift_components_of_a_d4_stratum(monkeypatch):
+def test_rotations_join_the_shift_components_of_a_d4_stratum():
     rs = build_root_system("D4")
     group, inverses = _reference(rs)
     (c,) = [
@@ -204,10 +150,8 @@ def test_cosets_join_the_shift_components_of_a_d4_stratum(monkeypatch):
         if [len(comp) for comp in
             _shift_split(rs, [w.perm for w in c.max_length])] == [2, 2, 2]
     ]
-    calls = _count_cosets(monkeypatch)
     tops = sorted(c.max_length, key=lambda w: w.rows)
     assert _strong_component(rs, [w.perm for w in tops]) == {w.perm for w in tops}
-    assert len(calls) == 1
     assert all(
         _reference_strongly_conjugate(tops[0], w, group, inverses) for w in tops
     )
