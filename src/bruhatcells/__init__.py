@@ -103,10 +103,11 @@ __version__ = "0.1.0"
 
 def clear_caches() -> None:
     """Drop every cached result: the memo of each root system built so far
-    (classes, Bruhat order, longest elements), the cached root systems, the
-    type-A lower sets, and the oracle's support plans and index maps (column
-    reversals, off-diagonals, the n-cycle).  Later calls recompute what they
-    need."""
+    (w0, the diagram map of -w0, the Bruhat pairs decided, the conjugacy and
+    involution classes, the unique maxima, the Property-(1) subsets and the
+    type-A root pairs), the cached root systems, the type-A lower sets, and
+    the oracle's support plans and index maps (column reversals,
+    off-diagonals, the n-cycle).  Later calls recompute what they need."""
     coxeter._clear_caches()
     sl_criteria._lower_set.cache_clear()
     oracle._support_plan.cache_clear()

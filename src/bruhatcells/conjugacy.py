@@ -592,40 +592,17 @@ def _stable_subset_classes(rs: RootSystem) -> dict:
     return {J: find(J) for J in stable}
 
 
-def _climb(rs: RootSystem, u, top: dict):
-    """``top[v]`` for a perm v conjugate to u, or None: the walk searches
-    u's level, what its equal-length shifts s*u*s reach, for a key of
-    ``top``, and moves on from the first strict ascent, at most N times.
-    Every element ascends to its maximal stratum without shortening
-    (Geck-Pfeiffer 2000, §3.2), so a level with no ascent is maximal."""
-    conj, length = rs._conj, rs._length
-    lu = length(u)
-    level, seen = [u], {u}
-    for v in level:
-        if v in top:
-            return top[v]
-        for i in range(rs.rank):
-            w = conj(v, i, i)
-            if w not in seen:
-                seen.add(w)
-                lw = length(w)
-                if lw > lu:
-                    return _climb(rs, w, top)
-                if lw == lu:
-                    level.append(w)
-    return None
-
-
 def verify_subset_conjugacy(t) -> Report:
     """For subsets J, K with Property (1): the attached involutions are
     conjugate exactly when some x with w0 * x * w0 = x maps J onto K.
 
-    Conjugacy is read off the stored maxima an involution climbs to (its
-    orbit is grown only where ``_climb`` stops short), the mappings off
-    ``_stable_subset_classes``.  Known limit: on every type tried (A1-A8,
-    B2-B6, C2-C5, D4-D8, E6-E8, F4, G2) that closure agrees with the
-    untwisted one on the Property-(1) subsets, so a fault that dropped the
-    symmetry condition would not show here.
+    Conjugacy is read off the stored maxima by lookup: on every type the
+    rank guard admits, each involution m_J is itself a maximal-length
+    member of its class.  A miss grows m_J's orbit, so the suite stays
+    exact.  The mappings are read off ``_stable_subset_classes``.  Known
+    limit: on every type tried (A1-A8, B2-B6, C2-C5, D4-D8, E6-E8, F4, G2)
+    that closure agrees with the untwisted one on the Property-(1) subsets,
+    so a fault that dropped the symmetry condition would not show here.
     """
     rs = _suite_system(t)
     rep = Report(f"subset conjugacy {rs.cartan_type}")
@@ -636,7 +613,7 @@ def verify_subset_conjugacy(t) -> Report:
     class_of_subset = {}
     for J in subsets:
         m = subset_involution(rs, J)
-        k = _climb(rs, m.perm, top)
+        k = top.get(m.perm)
         if k is None:
             k = next(top[p] for p in _orbit(rs, m) if p in top)
         class_of_subset[J] = k
@@ -717,11 +694,7 @@ def verify_ascent_classes(t, allow_large: bool = False) -> Report:
     rs = build_root_system(t)
     rep = Report(f"ascent suite {rs.cartan_type}")
     subject = str(rs.cartan_type)
-    conj, length, roots, simple = rs._conj, rs._length, rs.roots, rs.simple_index
-
-    def rows(p):
-        return tuple(zip(*(roots[p[k]] for k in simple)))
-
+    conj, length, rows = rs._conj, rs._length, rs._rows
     checked = {}
     for c in conjugacy_classes(rs):
         # reverse closure: which elements reach the maximal stratum by ascents

@@ -241,8 +241,7 @@ class WeylElement:
     def rows(self) -> tuple[tuple[int, ...], ...]:
         """The integer matrix in the simple-root basis, computed on each call:
         column j holds the coordinates of the image of the j-th simple root."""
-        roots, perm = self.rs.roots, self.perm
-        return tuple(zip(*(roots[perm[k]] for k in self.rs.simple_index)))
+        return self.rs._rows(self.perm)
 
     def inv(self) -> "WeylElement":
         return WeylElement(self.rs, self.rs._inverse(self.perm), self._length)
@@ -316,8 +315,8 @@ class RootSystem:
     most 256 roots (E6-E8, F4, G2, A1-A15, B/C2-B/C11, D4-D11); a larger
     type is refused with a ``GuardError`` that names its root count.  The
     private calls on permutations are ``_mul(p, q)`` (p*q), ``_right(p, i)``
-    (p*s_{i+1}), ``_conj(p, j, i)`` (s_{j+1}*p*s_{i+1}), ``_length(p)`` and
-    ``_inverse(p)``.
+    (p*s_{i+1}), ``_conj(p, j, i)`` (s_{j+1}*p*s_{i+1}), ``_length(p)``,
+    ``_inverse(p)`` and ``_rows(p)``, the matrix in the simple-root basis.
     """
 
     def __init__(self, cartan_type: CartanType):
@@ -362,6 +361,12 @@ class RootSystem:
     def __reduce__(self):
         # the arithmetic is closures: copies and unpickled systems are the cached one
         return build_root_system, (self.cartan_type,)
+
+    def _rows(self, p) -> tuple[tuple[int, ...], ...]:
+        """The integer matrix of the perm p in the simple-root basis: column
+        j holds the coordinates of the image of the j-th simple root."""
+        roots = self.roots
+        return tuple(zip(*(roots[p[k]] for k in self.simple_index)))
 
     def pair(self, alpha, beta) -> int:
         """Invariant symmetric bilinear form of two coordinate vectors."""

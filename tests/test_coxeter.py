@@ -1,10 +1,14 @@
+import functools
+import importlib
 import inspect
 import itertools
+import pkgutil
 import sys
 
 import pytest
 
-from bruhatcells import clear_caches, oracle, sl_criteria
+import bruhatcells
+from bruhatcells import clear_caches
 from bruhatcells.coxeter import (
     CartanType,
     RootSystem,
@@ -27,6 +31,24 @@ from bruhatcells.sl_criteria import (
     bruhat_lower_set,
     closure_monotonicity,
 )
+
+
+def _lru_caches():
+    """Every ``functools.lru_cache`` defined in a bruhatcells module, except
+    the CLI's parser, which ``clear_caches`` keeps."""
+    found = []
+    for info in pkgutil.iter_modules(bruhatcells.__path__):
+        if info.name == "__main__":  # importing it runs the CLI
+            continue
+        module = importlib.import_module(f"bruhatcells.{info.name}")
+        for name, f in vars(module).items():
+            if (
+                isinstance(f, functools._lru_cache_wrapper)
+                and f.__module__ == module.__name__
+                and (info.name, name) != ("cli", "build_parser")
+            ):
+                found.append(f)
+    return found
 
 
 def subword_lower_set(w):
@@ -97,14 +119,8 @@ class TestRootSystem:
         bruhat_lower_set(transvection)
         closure_monotonicity(transvection, transvection)
         validate_class(transvection, 3, intersection_table(transvection, 3))
-        caches = [
-            sl_criteria._lower_set,
-            oracle._support_plan,
-            oracle._off_diagonal,
-            oracle._cycle_conjugation,
-            oracle._column_reversal,
-        ]
-        assert held._memo and all(f.cache_info().currsize for f in caches)
+        caches = _lru_caches()
+        assert caches and held._memo and all(f.cache_info().currsize for f in caches)
         clear_caches()
         assert not held._memo
         assert not any(f.cache_info().currsize for f in caches)
